@@ -7,6 +7,8 @@ Layout of a .ckpt file:
     blobs  w1 (hidden x 2C), b1, w2 (2 x hidden), b2 as raw float32 LE
     u32    number of fusion levels, then per level in L2, L3, L4 order:
              u32 in_channels, u32 out_channels, W blob, b blob
+
+Nothing follows the last blob.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import struct
 import numpy as np
 
 from .episodes import FusionProjector
+from .pack_io import read_exact, read_floats
 from .scorer import ScoreModel
 from .tensor_ops import Level
 
@@ -25,13 +28,6 @@ _LEVELS = (Level.L2, Level.L3, Level.L4)
 
 def _write_blob(f, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_blob(f, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    return (
-        np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
-    )
 
 
 def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
@@ -55,20 +51,22 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        c, hidden, eps = struct.unpack("<IIf", f.read(12))
+        c, hidden, eps = struct.unpack("<IIf", read_exact(f, 12))
         model = ScoreModel(
-            w1=_read_blob(f, (hidden, 2 * c)),
-            b1=_read_blob(f, (hidden,)),
-            w2=_read_blob(f, (2, hidden)),
-            b2=_read_blob(f, (2,)),
+            w1=read_floats(f, (hidden, 2 * c)),
+            b1=read_floats(f, (hidden,)),
+            w2=read_floats(f, (2, hidden)),
+            b2=read_floats(f, (2,)),
             eps=float(eps),
         )
-        (n_levels,) = struct.unpack("<I", f.read(4))
+        (n_levels,) = struct.unpack("<I", read_exact(f, 4))
         if n_levels != len(_LEVELS):
             raise ValueError(f"unexpected level count {n_levels}")
         weights, biases = {}, {}
         for lv in _LEVELS:
-            c_in, c_out = struct.unpack("<II", f.read(8))
-            weights[lv] = _read_blob(f, (c_out, c_in))
-            biases[lv] = _read_blob(f, (c_out,))
+            c_in, c_out = struct.unpack("<II", read_exact(f, 8))
+            weights[lv] = read_floats(f, (c_out, c_in))
+            biases[lv] = read_floats(f, (c_out,))
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes at byte {f.tell() - 1}")
     return model, FusionProjector(weights, biases)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import FeatureMap, Level, downsample_avg, spatial_average
+from .tensor_ops import FeatureMap, Level, downsample_avg
 
 FEATURE_LEVELS = (Level.L2, Level.L3, Level.L4)
 
@@ -66,7 +66,8 @@ def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> Clas
                     f"support shots disagree on channels at {level}: "
                     f"{fm.channels} vs {channels}"
                 )
-            acc += spatial_average(fm)
+            # Per-shot means round to float32; trained checkpoints depend on it.
+            acc += fm.data.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
         vectors[level] = (acc / len(shots)).astype(np.float32)
     return ClassPrototype(class_id, vectors)
 

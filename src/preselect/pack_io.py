@@ -9,7 +9,8 @@ Layout of a .epk file:
              u32 rank, u32 * rank dims, float32 * prod(dims) data (LE)
 
 Tensor order per episode: query maps L2, L3, L4, then for each class id
-ascending, for each shot, its L2, L3, L4 support maps.
+ascending, for each shot, its L2, L3, L4 support maps. Nothing follows the
+last blob; a short or padded file is rejected with its byte offset.
 """
 
 from __future__ import annotations
@@ -34,12 +35,24 @@ def write_tensor(f: BufferedWriter, arr: np.ndarray) -> None:
     f.write(arr.tobytes())
 
 
+def read_exact(f: BufferedReader, n: int) -> bytes:
+    """The next n bytes of f; ValueError naming the offset if f ends first."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"{getattr(f, 'name', 'stream')}: truncated at byte "
+                         f"{f.tell() - len(data)}: needed {n} bytes")
+    return data
+
+
+def read_floats(f: BufferedReader, shape) -> np.ndarray:
+    """The next prod(shape) little-endian float32 values of f, shaped."""
+    data = read_exact(f, 4 * int(np.prod(shape)))
+    return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+
+
 def read_tensor(f: BufferedReader) -> np.ndarray:
-    (rank,) = struct.unpack("<I", f.read(4))
-    dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-    count = int(np.prod(dims))
-    data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(dims)
-    return data.astype(np.float32)
+    (rank,) = struct.unpack("<I", read_exact(f, 4))
+    return read_floats(f, struct.unpack(f"<{rank}I", read_exact(f, 4 * rank)))
 
 
 def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
@@ -99,8 +112,10 @@ def read_pack(path) -> list[Episode]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not an episode pack (bad magic)")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        man = json.loads(f.read(mlen).decode())
+        (mlen,) = struct.unpack("<I", read_exact(f, 4))
+        man = json.loads(read_exact(f, mlen).decode())
+        if man.get("format") != 1:
+            raise ValueError(f"{path}: unsupported pack format {man.get('format')!r}")
         num_classes = man["num_classes"]
         k = man["k"]
         episodes = []
@@ -124,4 +139,6 @@ def read_pack(path) -> list[Episode]:
                     },
                 )
             )
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes at byte {f.tell() - 1}")
     return episodes

@@ -10,23 +10,13 @@ projections can be trained jointly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .episodes import Episode, FusionProjector, build_prototype, correlate, fuse_levels
-from .tensor_ops import (
-    FeatureMap,
-    Level,
-    concat,
-    downsample_avg,
-    max_pool2,
-    relu,
-    softmax2,
-    spatial_average,
-    spatial_standardize,
-)
+from .tensor_ops import FeatureMap, Level, downsample_avg
 
 HIDDEN_DIM = 512
 POSITIVE = 1  # index of the "class is present" logit
@@ -63,79 +53,27 @@ class ScoreModel:
             b2=np.zeros(2, dtype=np.float32),
         )
 
+    def __post_init__(self):
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+
     def copy(self) -> "ScoreModel":
         return ScoreModel(self.w1.copy(), self.b1.copy(),
                           self.w2.copy(), self.b2.copy(), self.eps)
 
 
-def global_representation(c: FeatureMap, eps: float = 1e-5) -> np.ndarray:
-    """Per-channel mean of the rectified, spatially standardized map."""
-    return spatial_average(relu(spatial_standardize(c, eps)))
-
-
-def local_representation(c: FeatureMap) -> np.ndarray:
-    """Per-channel mean of the 2x2 max-pooled map; captures peak strength."""
-    return spatial_average(max_pool2(c))
-
-
-def confidence_vector(c: FeatureMap, eps: float = 1e-5) -> np.ndarray:
-    """Concatenation [local, global]; dim 2C."""
-    return concat(local_representation(c), global_representation(c, eps))
-
-
-def confidence_backward(c: FeatureMap, grad_v: np.ndarray,
-                        eps: float = 1e-5) -> np.ndarray:
-    """Gradient of the confidence vector w.r.t. the input map.
-
-    grad_v is (2C,), local half first. Returns (C, H, W) float64.
-    Max-pool routes gradient to the first argmax in each window; the
-    standardization Jacobian accounts for the mean and std terms.
-    """
-    x = c.data.astype(np.float64)
-    ch, h, w = x.shape
-    grad_local = grad_v[:ch].astype(np.float64)
-    grad_global = grad_v[ch:].astype(np.float64)
-    grad_x = np.zeros_like(x)
-
-    # Local branch: avg over pooled cells of windowed max.
-    ph, pw = h // 2, w // 2
-    windows = x[:, : ph * 2, : pw * 2].reshape(ch, ph, 2, pw, 2)
-    flat = windows.transpose(0, 1, 3, 2, 4).reshape(ch, ph, pw, 4)
-    arg = flat.argmax(axis=3)
-    scale = grad_local / (ph * pw)
-    for i in range(ph):
-        for j in range(pw):
-            dy = arg[:, i, j] // 2
-            dx = arg[:, i, j] % 2
-            grad_x[np.arange(ch), 2 * i + dy, 2 * j + dx] += scale
-
-    # Global branch: avg(relu(standardize)).
-    n = h * w
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    sd = x.std(axis=(1, 2), keepdims=True)
-    s = sd + eps
-    d = x - mu
-    z = d / s
-    u = (grad_global[:, None, None] / n) * (z > 0)  # dL/dz
-    u_mean = u.mean(axis=(1, 2), keepdims=True)
-    ud_mean = (u * d).mean(axis=(1, 2), keepdims=True)
-    # d sd / dx_q = d_q / (n * sd); zero-variance channels contribute
-    # nothing (z == 0 there, so u == 0 as well).
-    sd_safe = np.where(sd > 0, sd, 1.0)
-    grad_x += (u - u_mean) / s - d * ud_mean / (sd_safe * s * s)
-    return grad_x
-
-
 def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Confidence vectors for a stack of maps at once.
+    """Confidence vectors [local, global] of a stack of maps.
 
-    maps is (N, C, H, W); returns (N, 2C) float64. Matches
-    confidence_vector applied per map to float32 roundoff; elementwise
-    work stays in float32 with float64 reduction accumulators, so
-    scoring all candidate classes costs a handful of array ops.
+    maps is (N, C, H, W); returns (N, 2C) float64. Local: channel mean of
+    the 2x2 max-pooled map (an odd last row/column is dropped). Global:
+    channel mean of the rectified map standardized by its mean and
+    std + eps. Elementwise work is float32 with float64 accumulators.
     """
     x = np.asarray(maps, dtype=np.float32)
     n, c, h, w = x.shape
+    if h < 2 or w < 2:
+        raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
     ph, pw = h // 2, w // 2
     t = x[:, :, : ph * 2, : pw * 2]
     pooled = np.maximum(
@@ -151,33 +89,77 @@ def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return np.concatenate([local, glob], axis=1)
 
 
+def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
+                              eps: float = 1e-5) -> np.ndarray:
+    """Gradient of the confidence vectors w.r.t. their (N, C, H, W) maps.
+
+    grad_v is (N, 2C), local half first; returns (N, C, H, W) float64.
+    Max-pool routes gradient to the first argmax in each window; the
+    standardization Jacobian accounts for the mean and std terms.
+    """
+    x = np.asarray(maps).astype(np.float64)
+    n, ch, h, w = x.shape
+    g = np.asarray(grad_v, dtype=np.float64)[:, :, None, None]
+    grad_local, grad_global = g[:, :ch], g[:, ch:]
+
+    # Local branch: a one-hot mask of each window's first argmax, with the
+    # window's cells in (dy, dx) row-major order.
+    ph, pw = h // 2, w // 2
+    win = x[:, :, : ph * 2, : pw * 2].reshape(n, ch, ph, 2, pw, 2)
+    first = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, ch, ph, pw, 4).argmax(axis=4)
+    mask = (first[..., None] == np.arange(4)).reshape(n, ch, ph, pw, 2, 2)
+    grad_x = np.zeros_like(x)
+    grad_x[:, :, : ph * 2, : pw * 2] = np.where(
+        mask.transpose(0, 1, 2, 4, 3, 5), grad_local[..., None, None] / (ph * pw), 0.0
+    ).reshape(n, ch, ph * 2, pw * 2)
+
+    # Global branch: avg(relu(standardize)).
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    sd = x.std(axis=(2, 3), keepdims=True)
+    s = sd + eps
+    d = x - mu
+    z = d / s
+    u = (grad_global / (h * w)) * (z > 0)  # dL/dz
+    u_mean = u.mean(axis=(2, 3), keepdims=True)
+    ud_mean = (u * d).mean(axis=(2, 3), keepdims=True)
+    # d sd / dx_q = d_q / (h * w * sd); zero-variance channels contribute
+    # nothing (z == 0 there, so u == 0 as well).
+    sd_safe = np.where(sd > 0, sd, 1.0)
+    grad_x += (u - u_mean) / s - d * ud_mean / (sd_safe * s * s)
+    return grad_x
+
+
+def _mlp(model: ScoreModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits) for confidence vectors v (N, 2C), in v's precision.
+    A v of the wrong width raises numpy's ValueError."""
+    hid = np.maximum(v @ model.w1.astype(v.dtype, copy=False).T + model.b1, 0.0)
+    return hid, hid @ model.w2.astype(v.dtype, copy=False).T + model.b2
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of (N, 2) logits, in float64."""
+    logits = logits.astype(np.float64, copy=False)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities for a stack of (N, C, H, W) maps."""
+    """Positive-class probabilities for a stack of (N, C, H, W) maps. The
+    MLP runs in float32 to keep scoring cheap; training's runs in float64."""
     v = confidence_vectors_batch(maps, model.eps).astype(np.float32)
-    hid = np.maximum(v @ model.w1.T + model.b1, 0.0)
-    logits = (hid @ model.w2.T + model.b2).astype(np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[:, POSITIVE]
+    return _softmax(_mlp(model, v)[1])[:, POSITIVE]
 
 
 def predict(model: ScoreModel, c: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass; returns (probs, logits), both dim 2."""
-    v = confidence_vector(c, model.eps)
-    if v.shape[0] != model.w1.shape[1]:
-        raise ValueError(
-            f"map has {c.channels} channels but model expects {model.in_channels}"
-        )
-    h = np.maximum(model.w1.astype(np.float64) @ v + model.b1, 0.0)
-    logits = (model.w2.astype(np.float64) @ h + model.b2).astype(np.float32)
-    return softmax2(logits), logits
+    """scores_batch's forward pass for one map: (probs, logits), both dim 2."""
+    v = confidence_vectors_batch(c.data[None], model.eps).astype(np.float32)
+    logits = _mlp(model, v)[1]
+    return _softmax(logits)[0], logits[0]
 
 
 def score(model: ScoreModel, c: FeatureMap) -> float:
     """Existence score: the positive-class softmax probability."""
-    probs, _ = predict(model, c)
-    return float(probs[POSITIVE])
+    return float(scores_batch(model, c.data[None])[0])
 
 
 @dataclass
@@ -192,35 +174,22 @@ def loss_and_grads(
     model: ScoreModel,
     batch: list[tuple[FeatureMap, int]],
     want_input_grads: bool = False,
-) -> tuple[float, Gradients, list[np.ndarray] | None]:
+) -> tuple[float, Gradients, np.ndarray | None]:
     """Mean cross-entropy over (map, label) pairs with analytic gradients.
 
-    label is 1 for present, 0 for absent. When want_input_grads is set,
-    also returns dLoss/dMap for each batch entry (used to train the
-    fusion projections).
+    label is 1 for present, 0 for absent; all maps share one shape. When
+    want_input_grads is set, also returns dLoss/dMap as one (N, C, H, W)
+    array in batch order (used to train the fusion projections).
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     n = len(batch)
-    w1 = model.w1.astype(np.float64)
-    w2 = model.w2.astype(np.float64)
-
-    shapes = {c.data.shape for c, _ in batch}
-    if len(shapes) == 1:
-        v_all = confidence_vectors_batch(
-            np.stack([c.data for c, _ in batch]), model.eps
-        )
-    else:
-        v_all = np.stack([confidence_vector(c, model.eps) for c, _ in batch]
-                         ).astype(np.float64)
+    maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
+    v_all = confidence_vectors_batch(maps, model.eps)
     labels = np.array([label for _, label in batch])
 
-    pre = v_all @ w1.T + model.b1          # (n, hidden)
-    hid = np.maximum(pre, 0.0)
-    logits = hid @ w2.T + model.b2          # (n, 2)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    hid, logits = _mlp(model, v_all)      # (n, hidden), (n, 2)
+    p = _softmax(logits)
     picked = np.maximum(p[np.arange(n), labels], 1e-300)
     loss = float(-np.log(picked).mean())
 
@@ -229,18 +198,15 @@ def loss_and_grads(
     dlogits /= n
     gw2 = dlogits.T @ hid
     gb2 = dlogits.sum(axis=0)
-    dhid = dlogits @ w2
-    dpre = dhid * (pre > 0)
+    dhid = dlogits @ model.w2.astype(np.float64)
+    dpre = dhid * (hid > 0)
     gw1 = dpre.T @ v_all
     gb1 = dpre.sum(axis=0)
 
-    input_grads: list[np.ndarray] | None = None
+    input_grads = None
     if want_input_grads:
-        dv = dpre @ w1                      # (n, 2C)
-        input_grads = [
-            confidence_backward(c, dv[i], model.eps)
-            for i, (c, _) in enumerate(batch)
-        ]
+        dv = dpre @ model.w1.astype(np.float64)   # (n, 2C)
+        input_grads = confidence_backward_batch(maps, dv, model.eps)
 
     grads = Gradients(
         gw1.astype(np.float32), gb1.astype(np.float32),
@@ -394,7 +360,7 @@ def _apply_fusion_grads(
     proj: FusionProjector,
     episodes: list[Episode],
     fusion_inputs: list[tuple[int, int]],
-    input_grads: list[np.ndarray],
+    input_grads: np.ndarray,
     lr: float,
     protos: _PrototypeCache,
 ) -> None:

@@ -1,10 +1,5 @@
-"""Dense numeric kernel: the small set of array primitives every other
-module is written in terms of.
-
-All feature data is float32, laid out channels-first (C, H, W).
-Reductions (means, stds) accumulate in float64 and cast back.
-Every function here is pure; inputs are never mutated.
-"""
+"""Feature maps: float32 (C, H, W) arrays tagged with their pyramid level,
+and the block-average downsampling that level fusion uses."""
 
 from __future__ import annotations
 
@@ -49,65 +44,6 @@ class FeatureMap:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-def relu(m: FeatureMap) -> FeatureMap:
-    """Elementwise max(x, 0), shape preserved."""
-    return FeatureMap(np.maximum(m.data, 0.0), m.level)
-
-
-def spatial_standardize(m: FeatureMap, eps: float = 1e-5) -> FeatureMap:
-    """Per channel, subtract the spatial mean and divide by (std + eps).
-
-    Population std; eps guards zero-variance channels (they come out
-    all zero).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = m.data.astype(np.float64)
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    sd = x.std(axis=(1, 2), keepdims=True)
-    out = (x - mu) / (sd + eps)
-    return FeatureMap(out.astype(np.float32), m.level)
-
-
-def spatial_average(m: FeatureMap) -> np.ndarray:
-    """Per-channel spatial mean; returns a (channels,) float32 vector."""
-    return m.data.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
-
-
-def max_pool2(m: FeatureMap) -> FeatureMap:
-    """2x2 max pooling with stride 2; trailing odd row/column dropped."""
-    c, h, w = m.data.shape
-    if h < 2 or w < 2:
-        raise ValueError(f"max_pool2 needs spatial dims >= 2x2, got {h}x{w}")
-    ph, pw = h // 2, w // 2
-    x = m.data[:, : ph * 2, : pw * 2].reshape(c, ph, 2, pw, 2)
-    return FeatureMap(x.max(axis=(2, 4)), m.level)
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two vectors, a's entries first."""
-    return np.concatenate([a, b]).astype(np.float32)
-
-
-def affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x + b with shape checking; w is (out_dim, in_dim)."""
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"affine: w has in_dim {w.shape[1]}, x has dim {x.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ValueError(f"affine: w has out_dim {w.shape[0]}, b has dim {b.shape[0]}")
-    return (w.astype(np.float64) @ x.astype(np.float64) + b).astype(np.float32)
-
-
-def softmax2(logits: np.ndarray) -> np.ndarray:
-    """Stable 2-way softmax: positive entries summing to 1."""
-    if logits.shape != (2,):
-        raise ValueError(f"softmax2 expects dim 2, got {logits.shape}")
-    z = logits.astype(np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return (e / e.sum()).astype(np.float32)
 
 
 def downsample_avg(m: FeatureMap, target_h: int, target_w: int) -> FeatureMap:

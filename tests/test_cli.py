@@ -2,6 +2,7 @@
 determinism of generated artifacts, and config-file handling."""
 
 import json
+import struct
 
 import pytest
 
@@ -95,6 +96,55 @@ class TestEval:
         bogus.write_bytes(b"XXXX" + b"\x00" * 16)
         code = main(["eval", "--checkpoint", str(bogus), "--pack", str(pack)])
         assert code == EXIT_VALIDATION
+
+
+def _pack_cuts(raw: bytes) -> dict[str, int]:
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    return {"magic_length": 6, "manifest": 8 + mlen // 2,
+            "tensor_header": 8 + mlen + 6, "last_tensor_body": len(raw) - 2}
+
+
+def _ckpt_cuts(raw: bytes) -> dict[str, int]:
+    c, hidden = struct.unpack("<II", raw[4:12])
+    mlp_end = 16 + 4 * (hidden * 2 * c + hidden + 2 * hidden + 2)
+    return {"magic_dims": 6, "w1_body": 16 + 4 * hidden * c,
+            "level_header": mlp_end + 4 + 6, "last_tensor_body": len(raw) - 2}
+
+
+CUTS = [("pack", part) for part in _pack_cuts(b"\0" * 8)] + \
+       [("checkpoint", part) for part in _ckpt_cuts(b"\0" * 16)]
+
+
+class TestMalformedInputs:
+    """A cut or padded pack or checkpoint exits 1 with one error line."""
+
+    @staticmethod
+    def _eval_error(pack, ckpt, capsys):
+        code = main(["eval", "--checkpoint", str(ckpt), "--pack", str(pack)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_VALIDATION
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
+
+    @pytest.mark.parametrize("target,part", CUTS, ids=[f"{t}-{p}" for t, p in CUTS])
+    def test_truncated(self, pack, ckpt, capsys, target, part):
+        path = pack if target == "pack" else ckpt
+        raw = path.read_bytes()
+        cuts = _pack_cuts(raw) if target == "pack" else _ckpt_cuts(raw)
+        path.write_bytes(raw[: cuts[part]])
+        assert "truncated" in self._eval_error(pack, ckpt, capsys)
+
+    @pytest.mark.parametrize("target", ["pack", "checkpoint"])
+    def test_trailing_bytes(self, pack, ckpt, capsys, target):
+        path = pack if target == "pack" else ckpt
+        path.write_bytes(path.read_bytes() + b"\0")
+        assert "trailing" in self._eval_error(pack, ckpt, capsys)
+
+    def test_nonpositive_eps_checkpoint(self, pack, ckpt, capsys):
+        raw = bytearray(ckpt.read_bytes())
+        raw[12:16] = struct.pack("<f", 0.0)
+        ckpt.write_bytes(bytes(raw))
+        assert "eps" in self._eval_error(pack, ckpt, capsys)
 
 
 class TestConfigFile:

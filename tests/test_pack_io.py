@@ -74,6 +74,16 @@ class TestEpisodePack:
         with pytest.raises(ValueError):
             read_pack(path)
 
+    def test_unknown_format_rejected(self, tmp_path):
+        _, eps = episodes_fixture(n=1)
+        path = tmp_path / "pack.epk"
+        write_pack(path, eps)
+        raw = path.read_bytes()
+        assert raw.count(b'"format":1') == 1
+        path.write_bytes(raw.replace(b'"format":1', b'"format":2'))
+        with pytest.raises(ValueError, match="format"):
+            read_pack(path)
+
     def test_deterministic_bytes(self, tmp_path):
         cfg, eps = episodes_fixture()
         p1, p2 = tmp_path / "a.epk", tmp_path / "b.epk"

@@ -2,6 +2,8 @@
 hand-written backward pass against finite differences, and the
 two-phase trainer's observable behaviors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,8 @@ from preselect.scorer import (
     Phase,
     ScoreModel,
     TrainConfig,
-    confidence_backward,
-    confidence_vector,
+    confidence_backward_batch,
     confidence_vectors_batch,
-    global_representation,
-    local_representation,
     loss_and_grads,
     predict,
     score,
@@ -44,32 +43,39 @@ def tiny_model(rng, channels=2, hidden=3):
     )
 
 
+def vector(arr, eps=1e-5):
+    """Confidence vector of one (C, H, W) map, through the batched path."""
+    return confidence_vectors_batch(np.asarray(arr, np.float32)[None], eps)[0]
+
+
 class TestRepresentations:
+    """Both halves of confidence_vectors_batch on N=1 stacks; the local
+    half comes first, then the global half."""
+
     def test_global_constant_map_is_zero(self):
-        out = global_representation(fmap(np.full((3, 2, 2), 7.0)))
+        out = vector(np.full((3, 2, 2), 7.0))[3:]
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_global_two_value_channel(self):
         # standardize([[0,2],[0,2]]) = [[-1,1],[-1,1]]; relu then avg = 0.5
-        out = global_representation(fmap([[[0, 2], [0, 2]]]), eps=1e-12)
+        out = vector([[[0, 2], [0, 2]]], eps=1e-12)[1:]
         assert out[0] == pytest.approx(0.5, abs=1e-4)
 
     def test_global_shift_invariance(self):
         rng = np.random.default_rng(0)
         m = random_map(rng, 3, 4, 4)
-        shifted = fmap(m.data + np.float32([5, -3, 11])[:, None, None])
-        np.testing.assert_allclose(
-            global_representation(m), global_representation(shifted), atol=1e-4
-        )
+        shifted = m.data + np.float32([5, -3, 11])[:, None, None]
+        np.testing.assert_allclose(vector(m.data)[3:], vector(shifted)[3:],
+                                   atol=1e-4)
 
     def test_local_single_window(self):
-        out = local_representation(fmap([[[1, 2], [3, 4]]]))
+        out = vector([[[1, 2], [3, 4]]])[:1]
         np.testing.assert_allclose(out, [4.0])
 
     def test_local_average_oracle(self):
         rng = np.random.default_rng(1)
         m = random_map(rng, 2, 4, 4)
-        out = local_representation(m)
+        out = vector(m.data)[:2]
         for ch in range(2):
             acc = 0.0
             for i in range(2):
@@ -77,13 +83,26 @@ class TestRepresentations:
                     acc += m.data[ch, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
             assert out[ch] == pytest.approx(acc / 4, rel=1e-5)
 
+    def test_local_drops_odd_row_and_column(self):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((1, 5, 5)).astype(np.float32)
+        out = vector(data)[0]
+        maxima = [data[0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
+                  for i in range(2) for j in range(2)]
+        assert out == pytest.approx(sum(maxima) / 4, rel=1e-6)
+        data[0, 4, :] = 100.0
+        data[0, :, 4] = 100.0
+        assert vector(data)[0] == out
+
+    def test_rejects_undersized_map(self):
+        with pytest.raises(ValueError):
+            vector(np.ones((1, 1, 4)))
+
     def test_confidence_vector_zero_map(self):
-        np.testing.assert_array_equal(confidence_vector(fmap(np.zeros((2, 4, 4)))),
-                                      np.zeros(4))
+        np.testing.assert_array_equal(vector(np.zeros((2, 4, 4))), np.zeros(4))
 
     def test_confidence_vector_local_first(self):
-        m = fmap(np.full((1, 2, 2), 3.0))
-        v = confidence_vector(m)
+        v = vector(np.full((1, 2, 2), 3.0))
         assert v.shape == (2,)
         assert v[0] == pytest.approx(3.0)  # local branch: max-pool avg
         assert v[1] == pytest.approx(0.0)  # global branch: constant zeroes out
@@ -120,10 +139,26 @@ class TestPredict:
             diffs.append(float(logits[POSITIVE] - logits[1 - POSITIVE]))
         assert np.argsort(scores).tolist() == np.argsort(diffs).tolist()
 
+    def test_large_logits_stay_finite(self):
+        model = ScoreModel(
+            w1=np.zeros((1, 2), np.float32), b1=np.zeros(1, np.float32),
+            w2=np.zeros((2, 1), np.float32), b2=np.float32([1000, 0]),
+        )
+        probs, _ = predict(model, fmap(np.zeros((1, 2, 2))))
+        assert np.all(np.isfinite(probs))
+        assert probs[0] > 0.999
+
     def test_rejects_channel_mismatch(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             predict(tiny_model(rng, channels=2), random_map(rng, c=3))
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_rejects_bad_eps(self, eps):
+        rng = np.random.default_rng(12)
+        m = tiny_model(rng)
+        with pytest.raises(ValueError):
+            ScoreModel(m.w1, m.b1, m.w2, m.b2, eps=eps)
 
 
 class TestBatchedScoring:
@@ -142,9 +177,43 @@ class TestBatchedScoring:
         maps = rng.standard_normal((6, 3, 4, 4)).astype(np.float32)
         batched = confidence_vectors_batch(maps)
         for i in range(6):
-            np.testing.assert_allclose(
-                batched[i], confidence_vector(fmap(maps[i])), atol=1e-5
-            )
+            np.testing.assert_array_equal(batched[i], vector(maps[i]))
+
+
+def oracle_backward(data, grad_v, eps):
+    """Nested-loop dVector/dMap for one (C, H, W) map.
+
+    Local: each 2x2 window's gradient goes to its first maximum in
+    row-major order. Global: the derivative of mean(relu(z)) with
+    z = (x - mean) / (std + eps), written out per element.
+    """
+    c, h, w = data.shape
+    ph, pw = h // 2, w // 2
+    n = h * w
+    out = [[[0.0] * w for _ in range(h)] for _ in range(c)]
+    for ch in range(c):
+        for i in range(ph):
+            for j in range(pw):
+                best = None
+                for dy in range(2):
+                    for dx in range(2):
+                        val = float(data[ch, 2 * i + dy, 2 * j + dx])
+                        if best is None or val > best[0]:
+                            best = (val, 2 * i + dy, 2 * j + dx)
+                out[ch][best[1]][best[2]] += float(grad_v[ch]) / (ph * pw)
+        vals = [float(data[ch, y, x]) for y in range(h) for x in range(w)]
+        mean = sum(vals) / n
+        std = math.sqrt(sum((v - mean) ** 2 for v in vals) / n)
+        s = std + eps
+        pos = [(v - mean) / s > 0 for v in vals]
+        n_pos = sum(pos)
+        pos_dev = sum(v - mean for v, p in zip(vals, pos) if p)
+        g = float(grad_v[c + ch]) / n
+        for q, v in enumerate(vals):
+            d_std = (v - mean) / (n * std) if std > 0 else 0.0
+            dx = (pos[q] - n_pos / n) / s - pos_dev * d_std / (s * s)
+            out[ch][q // w][q % w] += g * dx
+    return out
 
 
 class TestGradients:
@@ -183,32 +252,55 @@ class TestGradients:
             self._fd_check(model, batch, param, getattr(grads, param))
 
     def test_input_gradient(self):
+        """One map, then a batch of three: a gradient leaking between
+        samples would show in the batch."""
         rng = np.random.default_rng(8)
         model = tiny_model(rng, channels=2, hidden=3)
-        m = random_map(rng, 2, 4, 4)
-        batch = [(m, 1)]
-        _, _, input_grads = loss_and_grads(model, batch, want_input_grads=True)
-        analytic = input_grads[0]
-        fd = np.zeros_like(analytic)
-        data = m.data
-        it = np.nditer(data, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = data[idx]
-            data[idx] = orig + self.H
-            up = self._loss(model, [(FeatureMap(data, m.level), 1)])
-            data[idx] = orig - self.H
-            down = self._loss(model, [(FeatureMap(data, m.level), 1)])
-            data[idx] = orig
-            fd[idx] = (up - down) / (2 * self.H)
-        denom = max(np.abs(fd).max(), 1e-8)
-        assert np.abs(analytic - fd).max() / denom < self.TOL
+        for n in (1, 3):
+            maps = [random_map(rng, 2, 4, 4) for _ in range(n)]
+            labels = [(i + 1) % 2 for i in range(n)]
+            _, _, analytic = loss_and_grads(model, list(zip(maps, labels)),
+                                            want_input_grads=True)
+            fd = np.zeros_like(analytic)
+            for k, m in enumerate(maps):
+                data = m.data
+                it = np.nditer(data, flags=["multi_index"])
+                for _ in it:
+                    idx = it.multi_index
+                    orig = data[idx]
+                    data[idx] = orig + self.H
+                    up = self._loss(model, list(zip(maps, labels)))
+                    data[idx] = orig - self.H
+                    down = self._loss(model, list(zip(maps, labels)))
+                    data[idx] = orig
+                    fd[(k,) + idx] = (up - down) / (2 * self.H)
+            denom = max(np.abs(fd).max(), 1e-8)
+            assert np.abs(analytic - fd).max() / denom < self.TOL
 
     def test_confidence_backward_zero_grad(self):
         rng = np.random.default_rng(9)
-        m = random_map(rng, 2, 4, 4)
-        out = confidence_backward(m, np.zeros(4))
-        np.testing.assert_array_equal(out, np.zeros((2, 4, 4)))
+        maps = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
+        out = confidence_backward_batch(maps, np.zeros((3, 4)))
+        np.testing.assert_array_equal(out, np.zeros((3, 2, 4, 4)))
+
+    def test_backward_matches_loop_oracle(self):
+        """Three distinct maps with an odd height, a window with tied
+        maxima and a zero-variance channel."""
+        rng = np.random.default_rng(13)
+        maps = rng.standard_normal((3, 3, 5, 6)).astype(np.float32)
+        maps[1, 0, 0:2, 0:2] = [[1.0, 3.0], [3.0, 3.0]]  # first argmax is (0, 1)
+        maps[2, 1] = 0.25
+        grad_v = rng.standard_normal((3, 6))
+        eps = 1e-5
+        got = confidence_backward_batch(maps, grad_v, eps)
+        want = [oracle_backward(maps[i], grad_v[i], eps) for i in range(3)]
+        assert np.abs(got - np.array(want)).max() / np.abs(want).max() < 1e-12
+
+    def test_rejects_mixed_shapes(self):
+        rng = np.random.default_rng(14)
+        batch = [(random_map(rng, 2, 4, 4), 1), (random_map(rng, 2, 6, 6), 0)]
+        with pytest.raises(ValueError):
+            loss_and_grads(tiny_model(rng), batch)
 
     def test_rejects_empty_batch(self):
         rng = np.random.default_rng(10)

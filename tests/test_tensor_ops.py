@@ -1,25 +1,14 @@
-"""Oracle and property tests for the dense array primitives.
+"""Oracle and property tests for the feature-map type and block-average
+downsampling.
 
-Every operation is checked against a straightforward nested-loop
-reference on random inputs; the loops are written independently of the
-vectorized implementations they verify.
+Downsampling is checked against a straightforward nested-loop reference
+on random inputs, written independently of the vectorized implementation.
 """
 
 import numpy as np
 import pytest
 
-from preselect.tensor_ops import (
-    FeatureMap,
-    Level,
-    affine,
-    concat,
-    downsample_avg,
-    max_pool2,
-    relu,
-    softmax2,
-    spatial_average,
-    spatial_standardize,
-)
+from preselect.tensor_ops import FeatureMap, Level, downsample_avg
 
 
 def fmap(arr, level=Level.L4):
@@ -28,190 +17,6 @@ def fmap(arr, level=Level.L4):
 
 def random_map(rng, c, h, w, level=Level.L4):
     return fmap(rng.standard_normal((c, h, w)), level)
-
-
-class TestRelu:
-    def test_sign_cases(self):
-        out = relu(fmap([[[-1, 2], [0, -3]]]))
-        np.testing.assert_array_equal(out.data, [[[0, 2], [0, 0]]])
-
-    def test_zero_map(self):
-        out = relu(fmap(np.zeros((2, 3, 3))))
-        assert not out.data.any()
-
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(0)
-        m = random_map(rng, 4, 5, 5)
-        out = relu(m)
-        for ch in range(4):
-            for y in range(5):
-                for x in range(5):
-                    expected = m.data[ch, y, x] if m.data[ch, y, x] > 0 else 0.0
-                    assert out.data[ch, y, x] == expected
-
-
-class TestSpatialStandardize:
-    def test_constant_channel_is_zeroed(self):
-        out = spatial_standardize(fmap([[[5, 5], [5, 5]]]), eps=1e-5)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2, 2)))
-
-    def test_two_value_channel(self):
-        # mean 1, population std 1 -> entries are +-1
-        out = spatial_standardize(fmap([[[0, 2], [0, 2]]]), eps=1e-5)
-        np.testing.assert_allclose(out.data, [[[-1, 1], [-1, 1]]], atol=1e-4)
-
-    def test_two_pass_oracle(self):
-        rng = np.random.default_rng(1)
-        m = random_map(rng, 8, 6, 6)
-        eps = 1e-5
-        out = spatial_standardize(m, eps)
-        for ch in range(8):
-            vals = [float(m.data[ch, y, x]) for y in range(6) for x in range(6)]
-            mean = sum(vals) / len(vals)
-            var = sum((v - mean) ** 2 for v in vals) / len(vals)
-            std = var**0.5
-            for y in range(6):
-                for x in range(6):
-                    expected = (float(m.data[ch, y, x]) - mean) / (std + eps)
-                    assert out.data[ch, y, x] == pytest.approx(expected, rel=1e-5)
-
-    def test_output_means_are_zero(self):
-        rng = np.random.default_rng(2)
-        out = spatial_standardize(random_map(rng, 5, 7, 3))
-        assert np.abs(out.data.mean(axis=(1, 2))).max() < 1e-5
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            spatial_standardize(fmap(np.ones((1, 2, 2))), eps=0.0)
-
-
-class TestSpatialAverage:
-    def test_single_channel(self):
-        np.testing.assert_allclose(spatial_average(fmap([[[1, 2], [3, 4]]])), [2.5])
-
-    def test_zero_map_dim(self):
-        out = spatial_average(fmap(np.zeros((7, 4, 4))))
-        assert out.shape == (7,)
-        assert not out.any()
-
-    def test_summation_oracle(self):
-        rng = np.random.default_rng(3)
-        m = random_map(rng, 6, 5, 4)
-        out = spatial_average(m)
-        for ch in range(6):
-            acc = 0.0
-            for y in range(5):
-                for x in range(4):
-                    acc += float(m.data[ch, y, x])
-            assert out[ch] == pytest.approx(acc / 20, abs=1e-6)
-
-
-class TestMaxPool2:
-    def test_single_window(self):
-        out = max_pool2(fmap([[[1, 2], [3, 4]]]))
-        np.testing.assert_array_equal(out.data, [[[4]]])
-
-    def test_odd_dims_dropped(self):
-        rng = np.random.default_rng(4)
-        m = random_map(rng, 1, 5, 5)
-        out = max_pool2(m)
-        assert out.data.shape == (1, 2, 2)
-        for i in range(2):
-            for j in range(2):
-                window = [
-                    m.data[0, 2 * i + dy, 2 * j + dx]
-                    for dy in range(2)
-                    for dx in range(2)
-                ]
-                assert out.data[0, i, j] == max(window)
-
-    def test_constant_map(self):
-        out = max_pool2(fmap(np.full((3, 4, 6), 2.5)))
-        np.testing.assert_array_equal(out.data, np.full((3, 2, 3), 2.5))
-
-    def test_rejects_undersized(self):
-        with pytest.raises(ValueError):
-            max_pool2(fmap(np.ones((1, 1, 4))))
-
-
-class TestConcat:
-    def test_order(self):
-        np.testing.assert_array_equal(
-            concat(np.float32([1, 2]), np.float32([3])), [1, 2, 3]
-        )
-
-    def test_singletons(self):
-        np.testing.assert_array_equal(
-            concat(np.float32([0]), np.float32([0])), [0, 0]
-        )
-
-    def test_indexwise_oracle(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(7).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        out = concat(a, b)
-        assert out.shape == (11,)
-        for i in range(7):
-            assert out[i] == a[i]
-        for i in range(4):
-            assert out[7 + i] == b[i]
-
-
-class TestAffine:
-    def test_identity(self):
-        x = np.float32([1, -2, 3])
-        out = affine(np.eye(3, dtype=np.float32), np.zeros(3, np.float32), x)
-        np.testing.assert_allclose(out, x)
-
-    def test_hand_case(self):
-        out = affine(np.float32([[1, 1]]), np.float32([1]), np.float32([2, 3]))
-        np.testing.assert_allclose(out, [6])
-
-    def test_matmul_oracle(self):
-        rng = np.random.default_rng(6)
-        w = rng.standard_normal((64, 32)).astype(np.float32)
-        b = rng.standard_normal(64).astype(np.float32)
-        x = rng.standard_normal(32).astype(np.float32)
-        out = affine(w, b, x)
-        for i in range(64):
-            acc = float(b[i])
-            for j in range(32):
-                acc += float(w[i, j]) * float(x[j])
-            assert out[i] == pytest.approx(acc, rel=1e-5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            affine(np.ones((2, 3), np.float32), np.zeros(2, np.float32),
-                   np.zeros(4, np.float32))
-        with pytest.raises(ValueError):
-            affine(np.ones((2, 3), np.float32), np.zeros(5, np.float32),
-                   np.zeros(3, np.float32))
-
-
-class TestSoftmax2:
-    def test_symmetry(self):
-        np.testing.assert_allclose(softmax2(np.float32([0, 0])), [0.5, 0.5])
-
-    def test_no_overflow(self):
-        out = softmax2(np.float32([1000, 0]))
-        assert np.all(np.isfinite(out))
-        assert out[0] > 0.999
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            z = rng.standard_normal(2).astype(np.float32)
-            c = rng.standard_normal()
-            np.testing.assert_allclose(
-                softmax2(z), softmax2((z + c).astype(np.float32)), atol=1e-6
-            )
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            out = softmax2(rng.standard_normal(2).astype(np.float32) * 10)
-            assert abs(float(out.sum()) - 1.0) < 1e-6
-            assert np.all(out > 0)
 
 
 class TestDownsampleAvg:
@@ -245,15 +50,12 @@ class TestSharedInvariants:
     def test_channel_counts_preserved(self):
         rng = np.random.default_rng(10)
         m = random_map(rng, 5, 6, 6)
-        for op in (relu, spatial_standardize, max_pool2):
-            assert op(m).channels == 5
+        assert downsample_avg(m, 3, 3).channels == 5
 
     def test_no_nan_on_finite_input(self):
         rng = np.random.default_rng(11)
         m = random_map(rng, 3, 4, 4)
-        for out in (relu(m), spatial_standardize(m), max_pool2(m),
-                    downsample_avg(m, 2, 2)):
-            assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(downsample_avg(m, 2, 2).data))
 
     def test_feature_map_rejects_nonfinite(self):
         bad = np.ones((1, 2, 2), np.float32)
