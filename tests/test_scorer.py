@@ -83,21 +83,6 @@ class TestRepresentations:
                     acc += m.data[ch, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
             assert out[ch] == pytest.approx(acc / 4, rel=1e-5)
 
-    def test_local_drops_odd_row_and_column(self):
-        rng = np.random.default_rng(11)
-        data = rng.standard_normal((1, 5, 5)).astype(np.float32)
-        out = vector(data)[0]
-        maxima = [data[0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
-                  for i in range(2) for j in range(2)]
-        assert out == pytest.approx(sum(maxima) / 4, rel=1e-6)
-        data[0, 4, :] = 100.0
-        data[0, :, 4] = 100.0
-        assert vector(data)[0] == out
-
-    def test_rejects_undersized_map(self):
-        with pytest.raises(ValueError):
-            vector(np.ones((1, 1, 4)))
-
     def test_confidence_vector_zero_map(self):
         np.testing.assert_array_equal(vector(np.zeros((2, 4, 4))), np.zeros(4))
 

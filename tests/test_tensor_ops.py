@@ -1,13 +1,17 @@
-"""Oracle and property tests for the feature-map type and block-average
-downsampling.
+"""Oracle and property tests for the dense array primitives: the
+feature-map type, block-average downsampling, and the spatial average,
+2x2 max pooling and softmax steps that the prototype builder and the
+batched scorer compute inline.
 
-Downsampling is checked against a straightforward nested-loop reference
-on random inputs, written independently of the vectorized implementation.
+Operations are checked against straightforward nested-loop references
+on random inputs, written independently of the vectorized code.
 """
 
 import numpy as np
 import pytest
 
+from preselect.episodes import build_prototype
+from preselect.scorer import _softmax, confidence_vectors_batch
 from preselect.tensor_ops import FeatureMap, Level, downsample_avg
 
 
@@ -17,6 +21,95 @@ def fmap(arr, level=Level.L4):
 
 def random_map(rng, c, h, w, level=Level.L4):
     return fmap(rng.standard_normal((c, h, w)), level)
+
+
+def spatial_average(m):
+    """Per-channel spatial mean, as build_prototype takes it of one shot."""
+    return build_prototype(0, [{m.level: m}]).vectors[m.level]
+
+
+def max_pool_average(data):
+    """Local confidence half: per-channel mean of the 2x2 max-pooled map."""
+    data = np.asarray(data, dtype=np.float32)
+    return confidence_vectors_batch(data[None])[0, : data.shape[0]]
+
+
+def softmax2(z):
+    return _softmax(np.asarray(z)[None])[0]
+
+
+class TestSpatialAverage:
+    def test_single_channel(self):
+        np.testing.assert_allclose(spatial_average(fmap([[[1, 2], [3, 4]]])), [2.5])
+
+    def test_zero_map_dim(self):
+        out = spatial_average(fmap(np.zeros((7, 4, 4))))
+        assert out.shape == (7,)
+        assert not out.any()
+
+    def test_summation_oracle(self):
+        rng = np.random.default_rng(3)
+        m = random_map(rng, 6, 5, 4)
+        out = spatial_average(m)
+        for ch in range(6):
+            acc = 0.0
+            for y in range(5):
+                for x in range(4):
+                    acc += float(m.data[ch, y, x])
+            assert out[ch] == pytest.approx(acc / 20, abs=1e-6)
+
+
+class TestMaxPool2:
+    def test_single_window(self):
+        np.testing.assert_array_equal(max_pool_average([[[1, 2], [3, 4]]]), [4])
+
+    def test_odd_dims_dropped(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((1, 5, 5)).astype(np.float32)
+        out = max_pool_average(data)
+        window_maxima = [
+            max(data[0, 2 * i + dy, 2 * j + dx] for dy in range(2) for dx in range(2))
+            for i in range(2)
+            for j in range(2)
+        ]
+        assert out[0] == pytest.approx(sum(window_maxima) / 4, rel=1e-6)
+        data[0, 4, :] = 100.0
+        data[0, :, 4] = 100.0
+        np.testing.assert_array_equal(max_pool_average(data), out)
+
+    def test_constant_map(self):
+        out = max_pool_average(np.full((3, 4, 6), 2.5))
+        np.testing.assert_array_equal(out, np.full(3, 2.5))
+
+    def test_rejects_undersized(self):
+        with pytest.raises(ValueError):
+            max_pool_average(np.ones((1, 1, 4)))
+
+
+class TestSoftmax2:
+    def test_symmetry(self):
+        np.testing.assert_allclose(softmax2(np.float32([0, 0])), [0.5, 0.5])
+
+    def test_no_overflow(self):
+        out = softmax2(np.float32([1000, 0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] > 0.999
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            z = rng.standard_normal(2).astype(np.float32)
+            c = rng.standard_normal()
+            np.testing.assert_allclose(
+                softmax2(z), softmax2((z + c).astype(np.float32)), atol=1e-6
+            )
+
+    def test_sums_to_one(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            out = softmax2(rng.standard_normal(2).astype(np.float32) * 10)
+            assert abs(float(out.sum()) - 1.0) < 1e-6
+            assert np.all(out > 0)
 
 
 class TestDownsampleAvg:
