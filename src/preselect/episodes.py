@@ -5,6 +5,8 @@ shots per candidate class plus ground truth: which classes are actually
 present and where. Correlation against a class prototype is a depthwise
 channel product; level fusion downsamples everything to the coarsest
 grid, projects each level to a common channel count, and averages.
+Inference builds all prototypes at once and fuses a whole set of classes
+in one contraction (prototype_matrices, align_query, fuse_batch).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import FeatureMap, Level, downsample_avg
+from .tensor_ops import FeatureMap, Level, block_mean, downsample_avg
 
 FEATURE_LEVELS = (Level.L2, Level.L3, Level.L4)
 
@@ -30,6 +32,10 @@ class Episode:
     gt_boxes: dict[int, list[Box]]
 
     def __post_init__(self):
+        shot_counts = {len(shots) for shots in self.supports.values()}
+        if len(shot_counts) > 1 or 0 in shot_counts:
+            raise ValueError("every class needs the same number of support shots, "
+                             "at least one")
         for cid in self.present_classes:
             if not self.gt_boxes.get(cid):
                 raise ValueError(f"present class {cid} has no ground-truth boxes")
@@ -51,25 +57,38 @@ class ClassPrototype:
     vectors: dict[Level, np.ndarray]
 
 
-def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:
-    """Spatially average each shot, then mean over shots, per level."""
-    if not shots:
-        raise ValueError("need at least one support shot")
+def prototype_matrices(
+    supports: list[list[dict[Level, FeatureMap]]],
+) -> dict[Level, np.ndarray]:
+    """Per level, the (N, C) float32 prototypes of N classes with k shots
+    each: spatially average each shot, then mean over the class's shots."""
+    k = len(supports[0]) if supports else 0
+    if k == 0 or any(len(shots) != k for shots in supports):
+        raise ValueError("every class needs the same number of support shots, "
+                         "at least one")
     vectors: dict[Level, np.ndarray] = {}
-    for level in shots[0]:
-        channels = shots[0][level].channels
-        acc = np.zeros(channels, dtype=np.float64)
-        for shot in shots:
-            fm = shot[level]
-            if fm.channels != channels:
-                raise ValueError(
-                    f"support shots disagree on channels at {level}: "
-                    f"{fm.channels} vs {channels}"
-                )
-            # Per-shot means round to float32; trained checkpoints depend on it.
-            acc += fm.data.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
-        vectors[level] = (acc / len(shots)).astype(np.float32)
-    return ClassPrototype(class_id, vectors)
+    for level in supports[0][0]:
+        maps = [shot[level].data for shots in supports for shot in shots]
+        shapes = {m.shape for m in maps}
+        if len(shapes) != 1:
+            raise ValueError(f"support shots disagree on shape at {level}: "
+                             f"{sorted(shapes)}")
+        x = np.concatenate(maps, dtype=np.float64).reshape(len(maps), *maps[0].shape)
+        # Per-shot means round to float32 and add up in shot order, as trained
+        # checkpoints depend on.
+        means = x.mean(axis=(2, 3)).astype(np.float32).reshape(len(supports), k, -1)
+        acc = np.zeros(means[:, 0].shape, dtype=np.float64)
+        for j in range(k):
+            acc += means[:, j]
+        vectors[level] = (acc / k).astype(np.float32)
+    return vectors
+
+
+def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:
+    """Spatially average each shot, then mean over shots, per level:
+    prototype_matrices for one class."""
+    vectors = prototype_matrices([shots])
+    return ClassPrototype(class_id, {lv: m[0] for lv, m in vectors.items()})
 
 
 def correlate(query: FeatureMap, proto: np.ndarray) -> FeatureMap:
@@ -144,6 +163,41 @@ def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> Feature
         projected.append(out)
     fused = np.mean(projected, axis=0).reshape(proj.out_channels, th, tw)
     return FeatureMap(fused.astype(np.float32), Level.FUSED)
+
+
+def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
+    """The query levels block-averaged onto the L4 grid in float64 and
+    stacked along channels in FEATURE_LEVELS order: (sum of C_l, H, W)."""
+    h, w = levels[Level.L4].height, levels[Level.L4].width
+    return np.concatenate([block_mean(levels[lv].data, h, w) for lv in FEATURE_LEVELS])
+
+
+def fuse_batch(aligned: np.ndarray, protos: dict[Level, np.ndarray],
+               proj: FusionProjector) -> np.ndarray:
+    """fuse_levels of the correlated levels of N classes at once.
+
+    aligned is align_query's output; protos[level] is (N, C_l). Correlation
+    commutes with the block average and the projection, so
+    fused_n = mean_l W_l diag(p_nl) X_l + b_l: one float64 contraction over
+    all levels' channels, with the biases as one more channel whose input
+    is 1. Returns (N, out_channels, H, W) float32, and ValueError if an
+    entry overflows it. np.matmul runs one fixed-shape gemm per class, so a
+    class's map does not depend on which other classes share the batch.
+    """
+    c, h, w = aligned.shape
+    n = len(protos[Level.L4])
+    x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
+    bias = sum(proj.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
+    weights = np.concatenate([proj.weights[lv] for lv in FEATURE_LEVELS]
+                             + [bias[:, None]], axis=1)
+    scales = np.concatenate([protos[lv] for lv in FEATURE_LEVELS]
+                            + [np.ones((n, 1), np.float32)], axis=1)
+    scales = scales / np.float64(len(FEATURE_LEVELS))
+    with np.errstate(over="ignore"):
+        fused = np.matmul(weights * scales[:, None, :], x).astype(np.float32)
+    if not np.isfinite(fused).all():
+        raise ValueError("fused map contains non-finite entries")
+    return fused.reshape(n, len(weights), h, w)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ Layout of a .epk file:
              u32 rank, u32 * rank dims, float32 * prod(dims) data (LE)
 
 Tensor order per episode: query maps L2, L3, L4, then for each class id
-ascending, for each shot, its L2, L3, L4 support maps. Nothing follows the
-last blob; a short or padded file is rejected with its byte offset.
+ascending, for each shot, its L2, L3, L4 support maps. Every map is rank 3
+with the dims the manifest's levels give; a header that disagrees is
+rejected before its data is read. Nothing follows the last blob; a short or
+padded file is rejected with its byte offset.
 """
 
 from __future__ import annotations
@@ -50,9 +52,26 @@ def read_floats(f: BufferedReader, shape) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
 
 
-def read_tensor(f: BufferedReader) -> np.ndarray:
-    (rank,) = struct.unpack("<I", read_exact(f, 4))
-    return read_floats(f, struct.unpack(f"<{rank}I", read_exact(f, 4 * rank)))
+def read_tensor(f: BufferedReader, shape: tuple[int, ...]) -> np.ndarray:
+    """The next tensor of f, whose header must give rank len(shape) and
+    dims shape; checked before its data is read."""
+    n = 4 * (len(shape) + 1)
+    header = struct.unpack(f"<{len(shape) + 1}I", read_exact(f, n))
+    if header != (len(shape), *shape):
+        raise ValueError(f"{getattr(f, 'name', 'stream')}: tensor at byte {f.tell() - n} "
+                         f"has rank/dims {list(header)}, expected {[len(shape), *shape]}")
+    return read_floats(f, shape)
+
+
+def _map_shapes(man: dict) -> tuple[dict, dict]:
+    """(query, support) (C, H, W) shape per level from the manifest."""
+    query, support = {}, {}
+    for lv in _LEVELS:
+        meta = man["levels"][lv.value]
+        c = int(meta["channels"])
+        query[lv] = (c, *(int(d) for d in meta["query_grid"]))
+        support[lv] = (c, *(int(d) for d in meta["support_grid"]))
+    return query, support
 
 
 def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
@@ -116,16 +135,20 @@ def read_pack(path) -> list[Episode]:
         man = json.loads(read_exact(f, mlen).decode())
         if man.get("format") != 1:
             raise ValueError(f"{path}: unsupported pack format {man.get('format')!r}")
-        num_classes = man["num_classes"]
-        k = man["k"]
+        try:
+            num_classes, k = int(man["num_classes"]), int(man["k"])
+            query_shapes, support_shapes = _map_shapes(man)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: malformed manifest: {e!r}") from None
         episodes = []
         for meta in man["episodes"]:
-            levels = {lv: FeatureMap(read_tensor(f), lv) for lv in _LEVELS}
+            levels = {lv: FeatureMap(read_tensor(f, query_shapes[lv]), lv) for lv in _LEVELS}
             supports = {}
             for cid in range(num_classes):
                 shots = []
                 for _ in range(k):
-                    shots.append({lv: FeatureMap(read_tensor(f), lv) for lv in _LEVELS})
+                    shots.append({lv: FeatureMap(read_tensor(f, support_shapes[lv]), lv)
+                                  for lv in _LEVELS})
                 supports[cid] = shots
             episodes.append(
                 Episode(

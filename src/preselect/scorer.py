@@ -5,7 +5,9 @@ branches (a local max-pooled average and a global normalized-rectified
 average), then a small MLP (2C -> hidden -> 2) turns that vector into
 existence logits. Backprop is written by hand: through the MLP, and
 through both pooling branches down to the input map so the fusion
-projections can be trained jointly.
+projections can be trained jointly. Inference gets every class's vector of
+one query from that query's statistics, without forming the maps
+(query_stats, query_confidence_vectors).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .episodes import Episode, FusionProjector, build_prototype, correlate, fuse
 from .tensor_ops import FeatureMap, Level, downsample_avg
 
 HIDDEN_DIM = 512
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 POSITIVE = 1  # index of the "class is present" logit
 
 
@@ -89,6 +92,73 @@ def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return np.concatenate([local, glob], axis=1)
 
 
+def query_stats(query: np.ndarray) -> np.ndarray:
+    """Per-channel statistics of one (C, H, W) query map that every class's
+    confidence vector is built from: (4, C) float64 rows holding the mean
+    of the 2x2 max-pooled map, the mean of the 2x2 min-pooled map (an odd
+    last row/column is dropped from both), the spatial std, and the mean
+    of relu(q - spatial mean).
+
+    All work is float64 after one conversion. Mixed float32/float64
+    reductions take numpy's buffered casting path, which costs more here
+    than it saves when the query arrives with cold caches.
+    """
+    x = np.asarray(query, dtype=np.float64)
+    c, h, w = x.shape
+    if h < 2 or w < 2:
+        raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
+    ph, pw = h // 2, w // 2
+    k, n = ph * pw, h * w
+    # One copy puts each window's four cells on a leading axis, so the max
+    # and the min are one reduction each.
+    windows = (x[:, : ph * 2, : pw * 2].reshape(c, ph, 2, pw, 2)
+               .transpose(2, 4, 0, 1, 3).reshape(4, c, k))
+    pooled = np.empty((2, c, k))
+    np.maximum.reduce(windows, out=pooled[0])
+    np.minimum.reduce(windows, out=pooled[1])
+    stats = np.empty((4, c))
+    np.add.reduce(pooled, axis=2, out=stats[:2])
+    flat = x.reshape(c, n)
+    d = flat - np.add.reduce(flat, axis=1, keepdims=True) / n
+    spread = np.empty((2, c, n))
+    np.square(d, out=spread[0])
+    np.maximum(d, 0.0, out=spread[1])
+    np.add.reduce(spread, axis=2, out=stats[2:])
+    stats[:2] /= k
+    stats[2:] /= n
+    np.sqrt(stats[2], out=stats[2])
+    return stats
+
+
+def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray,
+                             eps: float = 1e-5) -> np.ndarray:
+    """confidence_vectors_batch of the N correlation maps protos[n] * q,
+    from query_stats(q), without forming the maps.
+
+    protos is (N, C); returns (N, 2C) computed in float64 and stored in
+    float32, the MLP's precision at inference. Max-pooling commutes with a
+    scale p >= 0 and turns into min-pooling for p < 0, so the local branch
+    is p * mean maxpool(q) or p * mean minpool(q): the larger of the two,
+    as mean maxpool >= mean minpool. Standardizing p * q gives
+    sign(p) (q - mu) / (sd + eps / |p|), and the mean of relu(d) equals that
+    of relu(-d) when d has zero mean, so the global branch is
+    |p| g / (|p| sd + eps) with g = mean relu(q - mu), which stays below
+    1/2. ValueError if a local entry would overflow float32; the
+    correlation map would overflow too.
+    """
+    p = np.asarray(protos)
+    n, c = p.shape
+    v = np.empty((n, 2 * c), np.float32)
+    scaled = stats[:, None, :] * p  # (4, N, C): each statistic times p
+    size = np.abs(scaled)  # rows 2 and 3 are |p| sd and |p| g
+    if size[:2].max(initial=0.0) > _FLOAT32_MAX:
+        raise ValueError("confidence vector overflows float32")
+    np.maximum(scaled[0], scaled[1], out=v[:, :c])
+    size[2] += eps
+    np.divide(size[3], size[2], out=v[:, c:])
+    return v
+
+
 def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
                               eps: float = 1e-5) -> np.ndarray:
     """Gradient of the confidence vectors w.r.t. their (N, C, H, W) maps.
@@ -131,9 +201,18 @@ def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
 
 def _mlp(model: ScoreModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hidden, logits) for confidence vectors v (N, 2C), in v's precision.
-    A v of the wrong width raises numpy's ValueError."""
-    hid = np.maximum(v @ model.w1.astype(v.dtype, copy=False).T + model.b1, 0.0)
-    return hid, hid @ model.w2.astype(v.dtype, copy=False).T + model.b2
+
+    Both come back as (N, hidden) and (N, 2) views of arrays computed with
+    the hidden units as rows: OpenBLAS multiplies w1 @ v.T about twice as
+    fast as v @ w1.T for a few dozen vectors, with the same result. A v of
+    the wrong width raises numpy's ValueError.
+    """
+    hid = model.w1.astype(v.dtype, copy=False) @ v.T
+    hid += model.b1[:, None]
+    np.maximum(hid, 0.0, out=hid)
+    logits = model.w2.astype(v.dtype, copy=False) @ hid
+    logits += model.b2[:, None]
+    return hid.T, logits.T
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -143,11 +222,28 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities of confidence vectors (N, 2C). The MLP
+    runs in float32 to keep scoring cheap; training's runs in float64.
+
+    The two-class softmax is 1 / (1 + exp(l0 - l1)), taken in float64 as
+    exp(-logaddexp(0, l0 - l1)) so that no logit gap overflows; it agrees
+    with _softmax to a few ulp.
+    """
+    logits = _mlp(model, v.astype(np.float32, copy=False))[1]
+    z = logits[:, 1 - POSITIVE].astype(np.float64) - logits[:, POSITIVE]
+    return np.exp(-np.logaddexp(0.0, z))
+
+
 def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities for a stack of (N, C, H, W) maps. The
-    MLP runs in float32 to keep scoring cheap; training's runs in float64."""
-    v = confidence_vectors_batch(maps, model.eps).astype(np.float32)
-    return _softmax(_mlp(model, v)[1])[:, POSITIVE]
+    """Positive-class probabilities for a stack of (N, C, H, W) maps."""
+    return _positive_probs(model, confidence_vectors_batch(maps, model.eps))
+
+
+def query_scores(model: ScoreModel, stats: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """scores_batch of the correlation maps protos[n] * q for prototypes
+    (N, C), given query_stats(q) of the L4 query q."""
+    return _positive_probs(model, query_confidence_vectors(stats, protos, model.eps))
 
 
 def predict(model: ScoreModel, c: FeatureMap) -> tuple[np.ndarray, np.ndarray]:

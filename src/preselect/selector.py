@@ -1,6 +1,7 @@
 """Minor-loop orchestration: score every candidate class cheaply, keep
 only the most promising ones, and run the expensive per-class stages
-(level fusion + toy detection) for that subset.
+(level fusion + toy detection) for that subset. Each stage runs once per
+query over arrays that hold every class it serves.
 """
 
 from __future__ import annotations
@@ -10,15 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import (
-    Box,
-    Episode,
-    FusionProjector,
-    build_prototype,
-    correlate,
-    fuse_levels,
-)
-from .scorer import ScoreModel, scores_batch
+from .episodes import Box, Episode, FusionProjector, align_query, fuse_batch, prototype_matrices
+from .scorer import ScoreModel, query_scores, query_stats
 from .tensor_ops import FeatureMap, Level
 
 
@@ -55,22 +49,15 @@ class Detection:
     confidence: float
 
 
-def _build_prototypes(episode: Episode) -> dict:
-    return {
-        cid: build_prototype(cid, episode.supports[cid])
-        for cid in episode.class_ids
-    }
+def _prototypes(episode: Episode) -> dict[Level, np.ndarray]:
+    """Per level, the (N, C) prototypes of episode.class_ids in order."""
+    return prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
 
 
-def _score_from_prototypes(model: ScoreModel, episode: Episode,
-                           protos: dict) -> dict[int, float]:
-    """Batched scoring of all classes on their L4 correlation maps."""
-    class_ids = episode.class_ids
-    q4 = episode.levels[Level.L4].data
-    proto_mat = np.stack([protos[cid].vectors[Level.L4] for cid in class_ids])
-    maps = q4[None, :, :, :] * proto_mat[:, :, None, None]
-    values = scores_batch(model, maps)
-    return {cid: float(v) for cid, v in zip(class_ids, values)}
+def _scores(model: ScoreModel, episode: Episode, stats: np.ndarray,
+            protos: dict[Level, np.ndarray]) -> dict[int, float]:
+    values = query_scores(model, stats, protos[Level.L4])
+    return dict(zip(episode.class_ids, values.tolist()))
 
 
 def score_all(model: ScoreModel, episode: Episode) -> dict[int, float]:
@@ -79,7 +66,8 @@ def score_all(model: ScoreModel, episode: Episode) -> dict[int, float]:
     Independent of fusion: only L4 query features and support prototypes
     are touched.
     """
-    return _score_from_prototypes(model, episode, _build_prototypes(episode))
+    stats = query_stats(episode.levels[Level.L4].data)
+    return _scores(model, episode, stats, _prototypes(episode))
 
 
 def select(scores: dict[int, float], strategy: SelectionStrategy) -> list[int]:
@@ -105,41 +93,68 @@ def detect_toy(fused: FeatureMap, peak_threshold: float = 0.5,
     components; each becomes a box with confidence = component peak.
     An all-nonpositive heat map yields no detections.
     """
-    heat = fused.data.astype(np.float64).mean(axis=0)
-    peak = heat.max()
-    if peak <= 0:
-        return []
-    mask = heat >= peak_threshold * peak
-    labels = _label4(mask)
-    dets = []
-    for comp in range(1, labels.max() + 1):
-        ys, xs = np.nonzero(labels == comp)
-        box = (float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
-        conf = float(heat[ys, xs].max())
-        dets.append(Detection(class_id, box, conf))
-    dets.sort(key=lambda d: (-d.confidence, d.box))
-    return dets
+    return detect_batch(fused.data[None], peak_threshold, [class_id])[0]
 
 
-def _label4(mask: np.ndarray) -> np.ndarray:
-    """4-connected component labeling via flood fill."""
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    current = 0
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or labels[sy, sx]:
-                continue
-            current += 1
-            stack = [(sy, sx)]
-            labels[sy, sx] = current
-            while stack:
-                y, x = stack.pop()
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not labels[ny, nx]:
-                        labels[ny, nx] = current
-                        stack.append((ny, nx))
-    return labels
+def detect_batch(fused: np.ndarray, peak_threshold: float,
+                 class_ids: list[int]) -> list[list[Detection]]:
+    """detect_toy for each map of an (N, C, H, W) stack, labelled in one
+    pass; the n-th list holds class_ids[n]'s detections."""
+    heat = fused.astype(np.float64).mean(axis=1)
+    n, h, w = heat.shape
+    peak = heat.max(axis=(1, 2))
+    mask = (heat >= (peak_threshold * peak)[:, None, None]) & (peak > 0)[:, None, None]
+    out: list[list[Detection]] = [[] for _ in range(n)]
+    cells = np.flatnonzero(mask)
+    if not cells.size:
+        return out
+    roots = label4(mask).ravel()[cells]
+    order = np.argsort(roots, kind="stable")
+    cells, roots = cells[order], roots[order]
+    # A component's root is its first cell, so each group starts there.
+    starts = np.flatnonzero(roots == cells)
+    images, ys, xs = np.unravel_index(cells, mask.shape)
+    lo = [np.minimum.reduceat(c, starts).astype(float).tolist() for c in (xs, ys)]
+    hi = [(np.maximum.reduceat(c, starts) + 1.0).tolist() for c in (xs, ys)]
+    boxes = zip(*lo, *hi)  # (x1, y1, x2, y2)
+    conf = np.maximum.reduceat(heat.ravel()[cells], starts).tolist()
+    for img, box, peak_value in zip(images[starts].tolist(), boxes, conf):
+        out[img].append(Detection(class_ids[img], box, peak_value))
+    for dets in out:
+        dets.sort(key=lambda d: (-d.confidence, d.box))
+    return out
+
+
+def label4(mask: np.ndarray) -> np.ndarray:
+    """4-connected components of each (H, W) mask of an (N, H, W) stack.
+
+    Each foreground cell gets the flat index of its component's first cell
+    in row-major order (the same for the whole component, never shared
+    between images); the background gets -1. Union-find over neighbour
+    edges, all edges at once: hook each edge's larger root under the
+    smaller, then compress paths to roots, until every edge joins cells of
+    one root. A root only ever moves to a smaller index, so the surviving
+    root is the component's smallest index.
+    """
+    n, h, w = mask.shape
+    ids = np.arange(mask.size).reshape(n, h, w)
+    right = mask[:, :, :-1] & mask[:, :, 1:]
+    down = mask[:, :-1, :] & mask[:, 1:, :]
+    left_cells, up_cells = ids[:, :, :-1][right], ids[:, :-1, :][down]
+    a = np.concatenate([left_cells, up_cells])
+    b = np.concatenate([left_cells + 1, up_cells + w])
+    parent = ids.ravel()
+    while True:
+        pa, pb = parent[a], parent[b]
+        if (pa == pb).all():
+            break
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    return np.where(mask, parent.reshape(n, h, w), -1)
 
 
 @dataclass
@@ -161,43 +176,40 @@ def run_inference(
     """Score -> select -> heavy stage for the selected classes only.
 
     Non-selected classes report empty detection lists. Timings record
-    wall-clock seconds per stage; heavy_calls counts fusion+detect
-    invocations (exactly len(selected)).
+    wall-clock seconds per stage. Setup is the work done once per query for
+    all classes that the full loop needs too: the prototypes and the query
+    levels aligned to the L4 grid. Scoring is everything the filter adds:
+    the L4 query statistics, every class's confidence vector and the MLP.
+    Fusion and detect each run once over the selected classes. heavy_calls
+    counts the classes that went through fusion+detect (len(selected)).
     """
     t0 = time.perf_counter()
-    protos = _build_prototypes(episode)
-    t_setup = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    scores = _score_from_prototypes(model, episode, protos)
-    t_score = time.perf_counter() - t0
+    protos = _prototypes(episode)
+    t1 = time.perf_counter()
+    stats = query_stats(episode.levels[Level.L4].data)
+    scores = _scores(model, episode, stats, protos)
+    t2 = time.perf_counter()
 
     selected = select(scores, strategy)
+    row = {cid: i for i, cid in enumerate(episode.class_ids)}
+    rows = [row[cid] for cid in selected]
+
+    # Setup work that only fusion reads, done just before it.
+    t3 = time.perf_counter()
+    aligned = align_query(episode.levels)
+    t4 = time.perf_counter()
+    fused = fuse_batch(aligned, {lv: m[rows] for lv, m in protos.items()}, proj)
+    t5 = time.perf_counter()
+    found = detect_batch(fused, peak_threshold, selected)
+    t6 = time.perf_counter()
 
     detections: dict[int, list[Detection]] = {cid: [] for cid in episode.class_ids}
-    t_fuse = 0.0
-    t_detect = 0.0
-    heavy_calls = 0
-    for cid in selected:
-        t1 = time.perf_counter()
-        proto = protos[cid]
-        per_level = {
-            lv: correlate(episode.levels[lv], proto.vectors[lv])
-            for lv in episode.levels
-        }
-        fused = fuse_levels(per_level, proj)
-        t2 = time.perf_counter()
-        detections[cid] = detect_toy(fused, peak_threshold, class_id=cid)
-        t3 = time.perf_counter()
-        t_fuse += t2 - t1
-        t_detect += t3 - t2
-        heavy_calls += 1
-
+    detections.update(zip(selected, found))
     return InferenceResult(
         detections=detections,
         selected=selected,
         scores=scores,
-        timings={"setup": t_setup, "scoring": t_score, "fusion": t_fuse,
-                 "detect": t_detect},
-        heavy_calls=heavy_calls,
+        timings={"setup": (t1 - t0) + (t4 - t3), "scoring": t2 - t1,
+                 "fusion": t5 - t4, "detect": t6 - t5},
+        heavy_calls=len(selected),
     )

@@ -46,16 +46,21 @@ class FeatureMap:
         return self.data.shape[2]
 
 
+def block_mean(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """Block averages of a (C, H, W) array down to (C, target_h, target_w),
+    in float64. Targets must divide the source dims evenly."""
+    c, h, w = x.shape
+    if h % target_h != 0 or w % target_w != 0:
+        raise ValueError(
+            f"block average: {h}x{w} not divisible by {target_h}x{target_w}"
+        )
+    bh, bw = h // target_h, w // target_w
+    return x.astype(np.float64).reshape(c, target_h, bh, target_w, bw).mean(axis=(2, 4))
+
+
 def downsample_avg(m: FeatureMap, target_h: int, target_w: int) -> FeatureMap:
-    """Block-average pooling down to (target_h, target_w).
+    """Block-average pooling down to (target_h, target_w), rounded to float32.
 
     Targets must divide the source dims evenly.
     """
-    c, h, w = m.data.shape
-    if h % target_h != 0 or w % target_w != 0:
-        raise ValueError(
-            f"downsample_avg: {h}x{w} not divisible by {target_h}x{target_w}"
-        )
-    bh, bw = h // target_h, w // target_w
-    x = m.data.astype(np.float64).reshape(c, target_h, bh, target_w, bw)
-    return FeatureMap(x.mean(axis=(2, 4)).astype(np.float32), m.level)
+    return FeatureMap(block_mean(m.data, target_h, target_w).astype(np.float32), m.level)

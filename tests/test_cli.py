@@ -2,10 +2,13 @@
 determinism of generated artifacts, and config-file handling."""
 
 import json
+import math
 import struct
 
+import numpy as np
 import pytest
 
+from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 GEN_ARGS = ["gen", "--classes", "6", "--present", "2", "--episodes", "6",
@@ -139,6 +142,33 @@ class TestMalformedInputs:
         path = pack if target == "pack" else ckpt
         path.write_bytes(path.read_bytes() + b"\0")
         assert "trailing" in self._eval_error(pack, ckpt, capsys)
+
+    @pytest.mark.parametrize("tensor", ["query", "support"])
+    @pytest.mark.parametrize("byte", range(16))
+    def test_flipped_tensor_header(self, pack, ckpt, capsys, tensor, byte):
+        """Any change to a rank or dim byte of the first query or support
+        map is caught from the header, before a read of its data."""
+        raw = pack.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[4:8])
+        offset = 8 + mlen
+        if tensor == "support":
+            man = json.loads(raw[8 : 8 + mlen])
+            offset += sum(16 + 4 * meta["channels"] * math.prod(meta["query_grid"])
+                          for meta in man["levels"].values())
+        assert struct.unpack("<I", raw[offset : offset + 4]) == (3,)
+        for mask in (0x01, 0x80, 0xFF):
+            bad = bytearray(raw)
+            bad[offset + byte] ^= mask
+            pack.write_bytes(bytes(bad))
+            assert "rank/dims" in self._eval_error(pack, ckpt, capsys)
+
+    def test_overflowing_projector_checkpoint(self, pack, ckpt, capsys):
+        """Projector weights that overflow the float32 fused map."""
+        model, proj = load_checkpoint(ckpt)
+        for lv in proj.weights:
+            proj.weights[lv] = np.full_like(proj.weights[lv], 3e38)
+        save_checkpoint(ckpt, model, proj)
+        assert "non-finite" in self._eval_error(pack, ckpt, capsys)
 
     def test_nonpositive_eps_checkpoint(self, pack, ckpt, capsys):
         raw = bytearray(ckpt.read_bytes())

@@ -8,10 +8,14 @@ from preselect.episodes import (
     Episode,
     FusionProjector,
     SynthConfig,
+    align_query,
     build_prototype,
     correlate,
+    fuse_batch,
     fuse_levels,
+    prototype_matrices,
     synth_episode,
+    synth_episodes,
 )
 from preselect.tensor_ops import FeatureMap, Level
 
@@ -60,6 +64,51 @@ class TestBuildPrototype:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_prototype(0, [])
+
+
+def loop_prototype(shots, level):
+    """One class's prototype the per-shot way: float64 mean of each shot,
+    rounded to float32, summed in shot order, divided by the shot count."""
+    acc = np.zeros(shots[0][level].channels, dtype=np.float64)
+    for shot in shots:
+        acc += shot[level].data.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+    return (acc / len(shots)).astype(np.float32)
+
+
+class TestPrototypeMatrices:
+    @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (7, 1, 1), (12, 5, 2)])
+    def test_bitwise_equal_to_per_shot_loop(self, classes, k, seed):
+        ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
+        mats = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+        for lv, mat in mats.items():
+            assert mat.dtype == np.float32 and mat.shape == (classes, ep.levels[lv].channels)
+            for i, cid in enumerate(ep.class_ids):
+                want = loop_prototype(ep.supports[cid], lv)
+                assert mat[i].tobytes() == want.tobytes()
+                assert build_prototype(cid, ep.supports[cid]).vectors[lv].tobytes() == \
+                    want.tobytes()
+
+    def test_odd_grids_and_negative_zero(self):
+        rng = np.random.default_rng(10)
+        shots = [[make_shot(rng, 5, hw=(3, 5)) for _ in range(2)] for _ in range(4)]
+        shots[2][0][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
+        shots[2][1][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
+        mat = prototype_matrices(shots)[Level.L4]
+        for i, cls in enumerate(shots):
+            assert mat[i].tobytes() == loop_prototype(cls, Level.L4).tobytes()
+
+    @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [1, 2, 3]])
+    def test_rejects_ragged_shot_counts(self, counts):
+        rng = np.random.default_rng(11)
+        shots = [[make_shot(rng, 3) for _ in range(n)] for n in counts]
+        with pytest.raises(ValueError, match="same number of support shots"):
+            prototype_matrices(shots)
+
+    def test_rejects_mismatched_shapes(self):
+        rng = np.random.default_rng(12)
+        shots = [[make_shot(rng, 3)], [make_shot(rng, 3, hw=(2, 3))]]
+        with pytest.raises(ValueError, match="disagree on shape"):
+            prototype_matrices(shots)
 
 
 class TestCorrelate:
@@ -149,6 +198,40 @@ class TestFuseLevels:
                     acc += proj.weights[lv].astype(np.float64) @ pix + proj.biases[lv]
                 np.testing.assert_allclose(fused.data[:, y, x], acc / 3, rtol=1e-4,
                                            atol=1e-5)
+
+    def test_batch_matches_correlate_and_fuse_levels(self):
+        """fuse_batch against correlate + fuse_levels, to 1e-6 relative."""
+        rng = np.random.default_rng(13)
+        cfg = SynthConfig(num_classes=9, k=2)
+        channels = cfg.channels
+        for proj in (FusionProjector.identity(channels, 64),
+                     FusionProjector.random(channels, 40, rng)):
+            proj.biases = {lv: rng.standard_normal(proj.out_channels).astype(np.float32)
+                           for lv in proj.biases}
+            for ep in synth_episodes(cfg, 14, 3):
+                protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+                got = fuse_batch(align_query(ep.levels), protos, proj)
+                assert got.dtype == np.float32
+                assert got.shape == (9, proj.out_channels, 8, 8)
+                for i in range(9):
+                    per_level = {lv: correlate(ep.levels[lv], protos[lv][i])
+                                 for lv in ep.levels}
+                    want = fuse_levels(per_level, proj).data
+                    err = np.abs(got[i] - want).max() / np.abs(want).max()
+                    assert err < 1e-6
+
+    def test_align_query_is_block_mean(self):
+        rng = np.random.default_rng(15)
+        levels = {
+            Level.L2: fmap(rng.standard_normal((2, 8, 8)), Level.L2),
+            Level.L3: fmap(rng.standard_normal((3, 4, 4)), Level.L3),
+            Level.L4: fmap(rng.standard_normal((4, 2, 2)), Level.L4),
+        }
+        aligned = align_query(levels)
+        assert aligned.shape == (9, 2, 2) and aligned.dtype == np.float64
+        want = levels[Level.L2].data.astype(np.float64).reshape(2, 2, 4, 2, 4).mean(axis=(2, 4))
+        np.testing.assert_allclose(aligned[:2], want, rtol=1e-12)
+        np.testing.assert_array_equal(aligned[5:], levels[Level.L4].data)
 
     def test_rejects_nondivisible_grids(self):
         maps = {
@@ -248,6 +331,14 @@ class TestEpisodeInvariants:
                 present_classes=frozenset({0, 1}),
                 gt_boxes={},
             )
+
+    @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [2, 2, 1]])
+    def test_ragged_supports_rejected(self, counts):
+        ep = synth_episode(SynthConfig(num_classes=len(counts), k=4, present_count=0), 9)
+        supports = {cid: ep.supports[cid][:n] for cid, n in enumerate(counts)}
+        with pytest.raises(ValueError, match="same number of support shots"):
+            Episode(query_id="bad", levels=ep.levels, supports=supports,
+                    present_classes=frozenset(), gt_boxes={})
 
     def test_degenerate_box_rejected(self):
         ep = synth_episode(SynthConfig(), 8)

@@ -26,7 +26,7 @@ class TestTensorWire:
         buf = io.BytesIO()
         write_tensor(buf, arr)
         buf.seek(0)
-        np.testing.assert_array_equal(read_tensor(buf), arr)
+        np.testing.assert_array_equal(read_tensor(buf, (3, 4, 5)), arr)
 
     def test_layout_is_rank_dims_data(self):
         arr = np.float32([[1.5, -2.0]])
@@ -41,7 +41,16 @@ class TestTensorWire:
         buf = io.BytesIO()
         write_tensor(buf, np.float32([7.0]))
         buf.seek(0)
-        np.testing.assert_array_equal(read_tensor(buf), [7.0])
+        np.testing.assert_array_equal(read_tensor(buf, (1,)), [7.0])
+
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (4, 5), (3, 4, 5, 1)])
+    def test_header_checked_before_data(self, shape):
+        buf = io.BytesIO()
+        write_tensor(buf, np.zeros((3, 4, 5), np.float32))
+        buf.seek(0)
+        with pytest.raises(ValueError, match="rank/dims"):
+            read_tensor(buf, shape)
+        assert buf.tell() <= 4 * (len(shape) + 1)
 
 
 class TestEpisodePack:

@@ -3,21 +3,27 @@ hand-written backward pass against finite differences, and the
 two-phase trainer's observable behaviors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from preselect.episodes import FusionProjector, SynthConfig, synth_episodes
+from preselect.episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
 from preselect.scorer import (
     POSITIVE,
     DivergenceError,
     Phase,
     ScoreModel,
     TrainConfig,
+    _mlp,
+    _softmax,
     confidence_backward_batch,
     confidence_vectors_batch,
     loss_and_grads,
     predict,
+    query_confidence_vectors,
+    query_scores,
+    query_stats,
     score,
     scores_batch,
     train,
@@ -157,12 +163,64 @@ class TestBatchedScoring:
                 score(model, fmap(maps[i])), abs=1e-5
             )
 
+    @pytest.mark.parametrize("gap", [1.0, 1e3])
+    def test_probs_match_softmax(self, gap):
+        """The logistic positive-class probability against the softmax of
+        the same logits; gap 1e3 puts logit differences past exp's range,
+        where both must give exactly 0 or 1."""
+        rng = np.random.default_rng(7)
+        model = tiny_model(rng, channels=4, hidden=8)
+        model.w2 *= np.float32(gap)
+        maps = rng.standard_normal((12, 4, 6, 6)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scores_batch(model, maps)
+        v = confidence_vectors_batch(maps).astype(np.float32)
+        want = _softmax(_mlp(model, v)[1])[:, POSITIVE]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        if gap > 1.0:
+            assert set(got.tolist()) <= {0.0, 1.0}
+
     def test_vectors_match_per_map(self):
         rng = np.random.default_rng(6)
         maps = rng.standard_normal((6, 3, 4, 4)).astype(np.float32)
         batched = confidence_vectors_batch(maps)
         for i in range(6):
             np.testing.assert_array_equal(batched[i], vector(maps[i]))
+
+
+class TestFactoredScoring:
+    """Scores from per-query statistics against the scores of the
+    correlation maps they stand for."""
+
+    def test_scores_match_correlated_maps(self):
+        cfg = SynthConfig(num_classes=20, k=3)
+        worst = 0.0
+        for seed, ep in enumerate(synth_episodes(cfg, 16, 6)):
+            model = ScoreModel.init(64, hidden=64, seed=seed)
+            q4 = ep.levels[Level.L4].data
+            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])[Level.L4]
+            want = scores_batch(model, q4[None] * protos[:, :, None, None])
+            got = query_scores(model, query_stats(q4), protos)
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5, 4, 4), (3, 5, 7), (4, 2, 2)])
+    def test_vectors_match_correlated_maps(self, shape):
+        rng = np.random.default_rng(17)
+        q = (3 * rng.standard_normal(shape)).astype(np.float32)
+        q[0] = 1.5  # a constant channel: zero spread
+        p = rng.standard_normal((9, shape[0])).astype(np.float32)
+        p[0] = 0.0
+        p[1] = -np.abs(p[1])
+        want = confidence_vectors_batch(q[None] * p[:, :, None, None])
+        got = query_confidence_vectors(query_stats(q), p)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        assert not got[0].any()
+
+    def test_stats_reject_undersized_query(self):
+        with pytest.raises(ValueError):
+            query_stats(np.ones((2, 1, 4), np.float32))
 
 
 def oracle_backward(data, grad_v, eps):

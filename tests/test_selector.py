@@ -1,16 +1,27 @@
 """Tests for selection strategies, the toy blob detector, and the
 minor-loop inference orchestration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from preselect.episodes import FusionProjector, SynthConfig, synth_episode
+from preselect.episodes import (
+    FusionProjector,
+    SynthConfig,
+    align_query,
+    fuse_batch,
+    prototype_matrices,
+    synth_episode,
+)
 from preselect.scorer import ScoreModel
 from preselect.selector import (
     Adaptive,
     All,
     TopN,
+    detect_batch,
     detect_toy,
+    label4,
     run_inference,
     score_all,
     select,
@@ -20,6 +31,81 @@ from preselect.tensor_ops import FeatureMap, Level
 
 def fused(arr):
     return FeatureMap(np.asarray(arr, dtype=np.float32), Level.FUSED)
+
+
+def flood_fill_labels(mask):
+    """4-connected component labels of one (H, W) mask by flood fill:
+    0 for background, 1.. in row-major order of each component's first
+    cell."""
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    current = 0
+    for sy in range(h):
+        for sx in range(w):
+            if not mask[sy, sx] or labels[sy, sx]:
+                continue
+            current += 1
+            stack = [(sy, sx)]
+            labels[sy, sx] = current
+            while stack:
+                y, x = stack.pop()
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = current
+                        stack.append((ny, nx))
+    return labels
+
+
+def canonical(labels, background=-1):
+    """Relabel one (H, W) labelling 0 (background) and 1.. in row-major
+    order of each component's first cell, so equal partitions compare
+    equal."""
+    out = np.zeros(labels.shape, dtype=np.int32)
+    seen: dict[int, int] = {}
+    for idx, lab in np.ndenumerate(labels):
+        if lab == background:
+            continue
+        out[idx] = seen.setdefault(int(lab), len(seen) + 1)
+    return out
+
+
+def spiral(n):
+    """A one-cell-wide square spiral on an n x n grid: one component whose
+    cells are up to ~n*n/2 steps apart."""
+    m = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    m[y, x] = True
+    turns = 0
+    while turns < 2:
+        ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        ahead_free = 0 <= ny < n and 0 <= nx < n and not m[ny, nx]
+        beyond_taken = 0 <= ay < n and 0 <= ax < n and m[ay, ax]
+        if ahead_free and not beyond_taken:
+            y, x, turns = ny, nx, 0
+            m[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return m
+
+
+def mask_cases():
+    rng = np.random.default_rng(21)
+    cases = {
+        "spiral": spiral(11),
+        "all_true": np.ones((6, 7), dtype=bool),
+        "all_false": np.zeros((6, 7), dtype=bool),
+        "checkerboard": (np.indices((7, 6)).sum(axis=0) % 2).astype(bool),
+        "single_row": rng.random((1, 9)) < 0.6,
+        "single_column": rng.random((9, 1)) < 0.6,
+    }
+    for i, density in enumerate((0.3, 0.5, 0.6, 0.7, 0.9)):
+        for j in range(4):
+            shape = tuple(int(d) for d in rng.integers(1, 12, size=2))
+            cases[f"random_{density}_{j}"] = rng.random(shape) < density
+    return cases
+
+
+MASKS = mask_cases()
 
 
 class TestSelect:
@@ -129,6 +215,57 @@ class TestDetectToy:
         assert loose[2] >= tight[2] and loose[3] >= tight[3]
 
 
+class TestLabel4:
+    """The batched labelling against a flood fill and scipy, one mask per
+    batch and all masks of a shape in one batch."""
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_matches_flood_fill(self, name):
+        mask = MASKS[name]
+        got = label4(mask[None])[0]
+        assert (got >= 0).tolist() == mask.tolist()
+        np.testing.assert_array_equal(canonical(got), flood_fill_labels(mask))
+
+    def test_spiral_is_one_component(self):
+        assert flood_fill_labels(spiral(11)).max() == 1
+
+    def test_batch_matches_single_masks(self):
+        rng = np.random.default_rng(22)
+        masks = rng.random((16, 8, 8)) < 0.55
+        masks[3] = spiral(8)
+        masks[4] = True
+        masks[5] = False
+        labels = label4(masks)
+        for mask, got in zip(masks, labels):
+            np.testing.assert_array_equal(canonical(got), flood_fill_labels(mask))
+        # Components never span two masks of the batch.
+        roots = labels[labels >= 0]
+        images = np.nonzero(labels >= 0)[0]
+        assert np.array_equal(roots // 64, images)
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_matches_scipy(self, name):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        mask = MASKS[name]
+        want, _ = ndimage.label(mask)
+        np.testing.assert_array_equal(canonical(label4(mask[None])[0]), canonical(want, 0))
+
+
+class TestDetectBatch:
+    def test_matches_per_map_detect_toy(self):
+        rng = np.random.default_rng(23)
+        maps = rng.standard_normal((12, 3, 7, 9)).astype(np.float32)
+        maps[4] = -np.abs(maps[4])  # all-nonpositive heat map: no detections
+        ids = list(range(100, 112))
+        batch = detect_batch(maps, 0.4, ids)
+        assert batch[4] == []
+        for i, m in enumerate(maps):
+            assert batch[i] == detect_toy(fused(m), 0.4, class_id=ids[i])
+
+    def test_empty_batch(self):
+        assert detect_batch(np.zeros((0, 2, 4, 4), np.float32), 0.5, []) == []
+
+
 class TestRunInference:
     @staticmethod
     def _setup(seed=0, **kwargs):
@@ -159,14 +296,57 @@ class TestRunInference:
         assert sorted(res.selected) == ep.class_ids
         assert res.heavy_calls == len(ep.class_ids)
 
+    def test_empty_selection(self):
+        model, proj, ep = self._setup()
+        res = run_inference(model, proj, ep, Adaptive(1.0))
+        assert res.selected == [] and res.heavy_calls == 0
+        assert all(d == [] for d in res.detections.values())
+
+    def test_overflowing_fused_map_rejected(self):
+        model, proj, ep = self._setup()
+        for lv in proj.weights:
+            proj.weights[lv] = np.full_like(proj.weights[lv], 3e38)
+        with pytest.raises(ValueError, match="fused map"):
+            run_inference(model, proj, ep, All())
+
+    def test_overflowing_confidence_vector_rejected(self):
+        # q * p overflows float32 where the local branch does.
+        model, proj, ep = self._setup()
+        big = dataclasses.replace(
+            ep,
+            levels={lv: FeatureMap(fm.data * 1e20, lv) for lv, fm in ep.levels.items()},
+            supports={cid: [{lv: FeatureMap(fm.data * 1e20, lv) for lv, fm in shot.items()}
+                            for shot in shots]
+                      for cid, shots in ep.supports.items()},
+        )
+        with pytest.raises(ValueError, match="overflows float32"):
+            run_inference(model, proj, big, TopN(2))
+
     def test_minor_loop_detections_subset_of_full(self):
-        """On selected classes, minor-loop output equals the full loop."""
-        model, proj, ep = self._setup(seed=3)
-        full = run_inference(model, proj, ep, All())
-        minor = run_inference(model, proj, ep, TopN(4))
-        assert minor.scores == full.scores
-        for cid in minor.selected:
-            assert minor.detections[cid] == full.detections[cid]
+        """On selected classes, minor-loop output equals the full loop,
+        bit for bit, for every TopN(n) on several episodes: a class's
+        score, fused map and detections do not depend on which classes
+        share its batch."""
+        for seed in (3, 5, 8):
+            model, proj, ep = self._setup(seed=seed)
+            proj = FusionProjector.random(
+                {lv: ep.levels[lv].channels for lv in ep.levels}, 24,
+                np.random.default_rng(seed))
+            full = run_inference(model, proj, ep, All())
+            protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+            aligned = align_query(ep.levels)
+            full_fused = fuse_batch(aligned, protos, proj)
+            for n in range(1, len(ep.class_ids) + 1):
+                minor = run_inference(model, proj, ep, TopN(n))
+                assert minor.scores == full.scores
+                assert minor.selected == full.selected[:n]
+                for cid in ep.class_ids:
+                    want = full.detections[cid] if cid in minor.selected else []
+                    assert minor.detections[cid] == want
+                rows = [ep.class_ids.index(cid) for cid in minor.selected]
+                fused_minor = fuse_batch(aligned, {lv: m[rows] for lv, m in protos.items()},
+                                         proj)
+                assert fused_minor.tobytes() == full_fused[rows].tobytes()
 
     def test_score_all_matches_inference_scores(self):
         model, proj, ep = self._setup(seed=4)
