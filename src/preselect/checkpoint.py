@@ -8,7 +8,8 @@ Layout of a .ckpt file:
     u32    number of fusion levels, then per level in L2, L3, L4 order:
              u32 in_channels, u32 out_channels, W blob, b blob
 
-Nothing follows the last blob.
+Nothing follows the last blob. The sizes a header gives are checked
+against the bytes left in the file before the blobs are read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import struct
 import numpy as np
 
 from .episodes import FusionProjector
-from .pack_io import read_exact, read_floats
+from .pack_io import read_exact, read_floats, require_bytes
 from .scorer import ScoreModel
 from .tensor_ops import Level
 
@@ -52,6 +53,7 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
         c, hidden, eps = struct.unpack("<IIf", read_exact(f, 12))
+        require_bytes(f, 4 * (hidden * (2 * c + 3) + 2))  # w1, b1, w2, b2
         model = ScoreModel(
             w1=read_floats(f, (hidden, 2 * c)),
             b1=read_floats(f, (hidden,)),
@@ -65,6 +67,7 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
         weights, biases = {}, {}
         for lv in _LEVELS:
             c_in, c_out = struct.unpack("<II", read_exact(f, 8))
+            require_bytes(f, 4 * c_out * (c_in + 1))
             weights[lv] = read_floats(f, (c_out, c_in))
             biases[lv] = read_floats(f, (c_out,))
         if f.read(1):

@@ -5,8 +5,9 @@ shots per candidate class plus ground truth: which classes are actually
 present and where. Correlation against a class prototype is a depthwise
 channel product; level fusion downsamples everything to the coarsest
 grid, projects each level to a common channel count, and averages.
-Inference builds all prototypes at once and fuses a whole set of classes
-in one contraction (prototype_matrices, align_query, fuse_batch).
+Inference and training build the prototypes of a set of classes at once
+and fuse them in one contraction (prototype_matrices, align_query,
+fuse_batch).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import FeatureMap, Level, block_mean, downsample_avg
+from .tensor_ops import FeatureMap, Level, block_mean
 
 FEATURE_LEVELS = (Level.L2, Level.L3, Level.L4)
 
@@ -36,6 +37,9 @@ class Episode:
         if len(shot_counts) > 1 or 0 in shot_counts:
             raise ValueError("every class needs the same number of support shots, "
                              "at least one")
+        unknown = (self.present_classes | self.gt_boxes.keys()) - self.supports.keys()
+        if unknown:
+            raise ValueError(f"classes {sorted(unknown)} are not candidate classes")
         for cid in self.present_classes:
             if not self.gt_boxes.get(cid):
                 raise ValueError(f"present class {cid} has no ground-truth boxes")
@@ -146,23 +150,13 @@ class FusionProjector:
 
 
 def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> FeatureMap:
-    """Align all levels to the L4 grid, project channels, and average.
+    """Align all levels to the L4 grid, project channels, and average:
+    fuse_batch of one class whose prototype entries are all one.
 
     Returns a FUSED map with proj.out_channels channels on the L4 grid.
     """
-    target = maps[Level.L4]
-    th, tw = target.height, target.width
-    projected = []
-    for level in FEATURE_LEVELS:
-        fm = maps[level]
-        if fm.height != th or fm.width != tw:
-            fm = downsample_avg(fm, th, tw)
-        w, b = proj.weights[level], proj.biases[level]
-        flat = fm.data.reshape(fm.channels, th * tw).astype(np.float64)
-        out = w.astype(np.float64) @ flat + b[:, None]
-        projected.append(out)
-    fused = np.mean(projected, axis=0).reshape(proj.out_channels, th, tw)
-    return FeatureMap(fused.astype(np.float32), Level.FUSED)
+    ones = {lv: np.ones((1, maps[lv].channels), np.float32) for lv in FEATURE_LEVELS}
+    return FeatureMap(fuse_batch(align_query(maps), ones, proj)[0], Level.FUSED)
 
 
 def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:

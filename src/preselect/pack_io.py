@@ -18,6 +18,8 @@ padded file is rejected with its byte offset.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from io import BufferedReader, BufferedWriter
 
@@ -46,9 +48,20 @@ def read_exact(f: BufferedReader, n: int) -> bytes:
     return data
 
 
+def require_bytes(f: BufferedReader, n: int) -> None:
+    """ValueError unless the open file f holds n more bytes: a size taken
+    from a corrupt header is rejected before a buffer that large is asked
+    for."""
+    pos = f.tell()
+    left = os.fstat(f.fileno()).st_size - pos
+    if n > left:
+        raise ValueError(f"{f.name}: truncated at byte {pos}: header implies "
+                         f"{n} more bytes, {left} left")
+
+
 def read_floats(f: BufferedReader, shape) -> np.ndarray:
     """The next prod(shape) little-endian float32 values of f, shaped."""
-    data = read_exact(f, 4 * int(np.prod(shape)))
+    data = read_exact(f, 4 * math.prod(shape))
     return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -132,16 +145,23 @@ def read_pack(path) -> list[Episode]:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not an episode pack (bad magic)")
         (mlen,) = struct.unpack("<I", read_exact(f, 4))
+        require_bytes(f, mlen)
         man = json.loads(read_exact(f, mlen).decode())
         if man.get("format") != 1:
             raise ValueError(f"{path}: unsupported pack format {man.get('format')!r}")
         try:
             num_classes, k = int(man["num_classes"]), int(man["k"])
             query_shapes, support_shapes = _map_shapes(man)
-        except (KeyError, TypeError, ValueError) as e:
+            labels = [
+                (meta["query_id"], frozenset(int(cid) for cid in meta["present"]),
+                 {int(cid): [tuple(float(v) for v in box) for box in boxes]
+                  for cid, boxes in meta["gt_boxes"].items()})
+                for meta in man["episodes"]
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: malformed manifest: {e!r}") from None
         episodes = []
-        for meta in man["episodes"]:
+        for query_id, present, gt_boxes in labels:
             levels = {lv: FeatureMap(read_tensor(f, query_shapes[lv]), lv) for lv in _LEVELS}
             supports = {}
             for cid in range(num_classes):
@@ -150,18 +170,8 @@ def read_pack(path) -> list[Episode]:
                     shots.append({lv: FeatureMap(read_tensor(f, support_shapes[lv]), lv)
                                   for lv in _LEVELS})
                 supports[cid] = shots
-            episodes.append(
-                Episode(
-                    query_id=meta["query_id"],
-                    levels=levels,
-                    supports=supports,
-                    present_classes=frozenset(meta["present"]),
-                    gt_boxes={
-                        int(cid): [tuple(b) for b in boxes]
-                        for cid, boxes in meta["gt_boxes"].items()
-                    },
-                )
-            )
+            episodes.append(Episode(query_id=query_id, levels=levels, supports=supports,
+                                    present_classes=present, gt_boxes=gt_boxes))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes at byte {f.tell() - 1}")
     return episodes

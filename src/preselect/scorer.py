@@ -17,8 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .episodes import Episode, FusionProjector, build_prototype, correlate, fuse_levels
-from .tensor_ops import FeatureMap, Level, downsample_avg
+from .episodes import (FEATURE_LEVELS, Episode, FusionProjector, align_query, fuse_batch,
+                       prototype_matrices)
+from .tensor_ops import FeatureMap, Level
 
 HIDDEN_DIM = 512
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -279,10 +280,20 @@ def loss_and_grads(
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    n = len(batch)
     maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
-    v_all = confidence_vectors_batch(maps, model.eps)
     labels = np.array([label for _, label in batch])
+    return _batch_loss_and_grads(model, maps, labels, want_input_grads)
+
+
+def _batch_loss_and_grads(
+    model: ScoreModel,
+    maps: np.ndarray,
+    labels: np.ndarray,
+    want_input_grads: bool,
+) -> tuple[float, Gradients, np.ndarray | None]:
+    """loss_and_grads of stacked (N, C, H, W) maps and their N labels."""
+    n = len(maps)
+    v_all = confidence_vectors_batch(maps, model.eps)
 
     hid, logits = _mlp(model, v_all)      # (n, hidden), (n, 2)
     p = _softmax(logits)
@@ -353,38 +364,19 @@ def _sample_pairs(episodes: list[Episode], ratio: int,
     return pairs
 
 
-class _PrototypeCache:
-    """Lazy per-episode prototype store; prototypes never change during
-    training, so each (episode, class) pair is built at most once."""
-
-    def __init__(self, episodes: list[Episode]):
-        self._episodes = episodes
-        self._protos: dict[tuple[int, int], object] = {}
-
-    def get(self, ei: int, cid: int):
-        key = (ei, cid)
-        if key not in self._protos:
-            ep = self._episodes[ei]
-            self._protos[key] = build_prototype(cid, ep.supports[cid])
-        return self._protos[key]
-
-
-def _episode_maps(ep: Episode, proj: FusionProjector, class_ids: list[int],
-                  phase: Phase, protos: _PrototypeCache,
-                  ei: int) -> dict[int, FeatureMap]:
-    """Training input maps per class: fused in JOINT, deepest in TPF_ONLY."""
-    maps = {}
-    for cid in class_ids:
-        proto = protos.get(ei, cid)
-        if phase is Phase.TPF_ONLY:
-            maps[cid] = correlate(ep.levels[Level.L4], proto.vectors[Level.L4])
-        else:
-            per_level = {
-                lv: correlate(ep.levels[lv], proto.vectors[lv])
-                for lv in ep.levels
-            }
-            maps[cid] = fuse_levels(per_level, proj)
-    return maps
+def _prototype_rows(ep: Episode, ei: int, class_ids: list[int],
+                    cache: dict[tuple[int, int], dict[Level, np.ndarray]]
+                    ) -> dict[Level, np.ndarray]:
+    """Per level, the (N, C_l) prototypes of class_ids in episode ei.
+    Prototypes never change during training, so each (episode, class) is
+    built once, when it is first sampled."""
+    missing = [cid for cid in class_ids if (ei, cid) not in cache]
+    if missing:
+        built = prototype_matrices([ep.supports[cid] for cid in missing])
+        for i, cid in enumerate(missing):
+            cache[ei, cid] = {lv: m[i] for lv, m in built.items()}
+    return {lv: np.stack([cache[ei, cid][lv] for cid in class_ids])
+            for lv in FEATURE_LEVELS}
 
 
 def train(
@@ -396,16 +388,18 @@ def train(
     """Plain SGD over sampled (map, label) pairs.
 
     JOINT updates both the scorer and the fusion projections (loss fed
-    by fused maps); TPF_ONLY freezes the projections and trains the
-    scorer on deepest-level maps. Returns (model, projections, per-epoch
-    mean losses); inputs are not mutated.
+    by fused maps, fuse_batch); TPF_ONLY freezes the projections and
+    trains the scorer on L4 correlation maps. Returns (model, projections,
+    per-epoch mean losses); inputs are not mutated.
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
     model = model.copy()
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
-    protos = _PrototypeCache(episodes)
+    joint = cfg.phase is Phase.JOINT
+    protos: dict[tuple[int, int], dict[Level, np.ndarray]] = {}
+    aligned: dict[int, np.ndarray] = {}
     losses: list[float] = []
 
     for _ in range(cfg.epochs):
@@ -415,24 +409,28 @@ def train(
         n_batches = 0
         for start in range(0, len(pairs), cfg.batch_size):
             chunk = pairs[start : start + cfg.batch_size]
-            # Group by episode so correlation/fusion runs once per class.
+            # Group by episode so each episode's classes are correlated
+            # or fused in one array operation.
             by_ep: dict[int, list[tuple[int, int]]] = {}
             for ei, cid, label in chunk:
                 by_ep.setdefault(ei, []).append((cid, label))
 
-            batch: list[tuple[FeatureMap, int]] = []
-            fusion_inputs: list[tuple[int, int]] = []  # parallel (ei, cid)
+            maps, labels = [], []
+            groups: list[tuple[np.ndarray, dict[Level, np.ndarray]]] = []
             for ei, entries in sorted(by_ep.items()):
-                maps = _episode_maps(
-                    episodes[ei], proj, [cid for cid, _ in entries],
-                    cfg.phase, protos, ei,
-                )
-                for cid, label in entries:
-                    batch.append((maps[cid], label))
-                    fusion_inputs.append((ei, cid))
+                ep = episodes[ei]
+                rows = _prototype_rows(ep, ei, [cid for cid, _ in entries], protos)
+                if joint:
+                    if ei not in aligned:
+                        aligned[ei] = align_query(ep.levels)
+                    maps.append(fuse_batch(aligned[ei], rows, proj))
+                    groups.append((aligned[ei], rows))
+                else:
+                    maps.append(rows[Level.L4][:, :, None, None] * ep.levels[Level.L4].data)
+                labels += [label for _, label in entries]
 
-            want_input = cfg.phase is Phase.JOINT
-            loss, grads, input_grads = loss_and_grads(model, batch, want_input)
+            loss, grads, input_grads = _batch_loss_and_grads(
+                model, np.concatenate(maps), np.array(labels), joint)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
@@ -444,44 +442,41 @@ def train(
             model.w2 = (model.w2 - lr * grads.w2).astype(np.float32)
             model.b2 = (model.b2 - lr * grads.b2).astype(np.float32)
 
-            if want_input:
-                _apply_fusion_grads(
-                    proj, episodes, fusion_inputs, input_grads, lr, protos
-                )
+            if joint:
+                _apply_fusion_grads(proj, groups, input_grads, lr)
         losses.append(epoch_loss / max(n_batches, 1))
     return model, proj, losses
 
 
 def _apply_fusion_grads(
     proj: FusionProjector,
-    episodes: list[Episode],
-    fusion_inputs: list[tuple[int, int]],
+    groups: list[tuple[np.ndarray, dict[Level, np.ndarray]]],
     input_grads: np.ndarray,
     lr: float,
-    protos: _PrototypeCache,
 ) -> None:
     """SGD step on the per-level projections given dLoss/dFusedMap.
 
-    The fused map is the mean over levels of (W_l @ x_l + b_l) at every
-    pixel, so each level sees the fused gradient divided by the level
-    count; W_l accumulates grad (x) input outer products over pixels.
+    groups holds, in batch order, each episode's aligned query X and the
+    prototype rows that fuse_batch fused it with. fuse_batch gives
+    fused_n = mean_l W_l diag(p_nl) X_l + b_l, so over the stacked level
+    channels gW = sum_n ((G_n / L) @ X^T) * s_n, with s_n the class's
+    prototype entries: one contraction over the whole batch of the
+    gradients with the correlated inputs s_n X. Every level's bias
+    gradient is sum_n G_n 1 / L.
     """
-    n_levels = len(proj.weights)
-    gw = {lv: np.zeros_like(w, dtype=np.float64) for lv, w in proj.weights.items()}
-    gb = {lv: np.zeros_like(b, dtype=np.float64) for lv, b in proj.biases.items()}
-    for (ei, cid), g_fused in zip(fusion_inputs, input_grads):
-        ep = episodes[ei]
-        proto = protos.get(ei, cid)
-        target = ep.levels[Level.L4]
-        th, tw = target.height, target.width
-        g = g_fused.reshape(proj.out_channels, th * tw) / n_levels
-        for lv in proj.weights:
-            fm = correlate(ep.levels[lv], proto.vectors[lv])
-            if fm.height != th or fm.width != tw:
-                fm = downsample_avg(fm, th, tw)
-            x = fm.data.reshape(fm.channels, th * tw).astype(np.float64)
-            gw[lv] += g @ x.T
-            gb[lv] += g.sum(axis=1)
-    for lv in proj.weights:
-        proj.weights[lv] = (proj.weights[lv] - lr * gw[lv]).astype(np.float32)
-        proj.biases[lv] = (proj.biases[lv] - lr * gb[lv]).astype(np.float32)
+    n, out = input_grads.shape[:2]
+    g = input_grads.reshape(n, out, -1) / len(FEATURE_LEVELS)
+    x = np.concatenate([
+        np.concatenate([rows[lv] for lv in FEATURE_LEVELS], axis=1)[:, :, None]
+        * aligned.reshape(len(aligned), -1)
+        for aligned, rows in groups
+    ])
+    gw = np.tensordot(g, x, axes=([0, 2], [0, 2]))
+    gb = g.sum(axis=(0, 2))
+    start = 0
+    for lv in FEATURE_LEVELS:
+        w = proj.weights[lv]
+        stop = start + w.shape[1]
+        proj.weights[lv] = (w - lr * gw[:, start:stop]).astype(np.float32)
+        proj.biases[lv] = (proj.biases[lv] - lr * gb).astype(np.float32)
+        start = stop

@@ -56,11 +56,3 @@ def block_mean(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
         )
     bh, bw = h // target_h, w // target_w
     return x.astype(np.float64).reshape(c, target_h, bh, target_w, bw).mean(axis=(2, 4))
-
-
-def downsample_avg(m: FeatureMap, target_h: int, target_w: int) -> FeatureMap:
-    """Block-average pooling down to (target_h, target_w), rounded to float32.
-
-    Targets must divide the source dims evenly.
-    """
-    return FeatureMap(block_mean(m.data, target_h, target_w).astype(np.float32), m.level)

@@ -114,6 +114,16 @@ def _ckpt_cuts(raw: bytes) -> dict[str, int]:
             "level_header": mlp_end + 4 + 6, "last_tensor_body": len(raw) - 2}
 
 
+def _edit_manifest(pack, edit) -> None:
+    """Rewrite the pack's manifest JSON through edit(manifest)."""
+    raw = pack.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    man = json.loads(raw[8 : 8 + mlen])
+    edit(man)
+    blob = json.dumps(man, sort_keys=True, separators=(",", ":")).encode()
+    pack.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+
+
 CUTS = [("pack", part) for part in _pack_cuts(b"\0" * 8)] + \
        [("checkpoint", part) for part in _ckpt_cuts(b"\0" * 16)]
 
@@ -161,6 +171,38 @@ class TestMalformedInputs:
             bad[offset + byte] ^= mask
             pack.write_bytes(bytes(bad))
             assert "rank/dims" in self._eval_error(pack, ckpt, capsys)
+
+    @pytest.mark.parametrize("byte", range(16))
+    def test_flipped_checkpoint_header(self, pack, ckpt, capsys, byte):
+        """A flipped header byte either still loads or exits 1 with one
+        error line; a flipped high byte of the channel count (7) or the
+        hidden width (11) asks for more bytes than the file holds."""
+        raw = ckpt.read_bytes()
+        for mask in (0x80, 0xFF):
+            bad = bytearray(raw)
+            bad[byte] ^= mask
+            ckpt.write_bytes(bytes(bad))
+            code = main(["eval", "--checkpoint", str(ckpt), "--pack", str(pack)])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (EXIT_OK, EXIT_VALIDATION)
+            if byte in (7, 11):
+                assert code == EXIT_VALIDATION
+            if code == EXIT_VALIDATION:
+                assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("key", ["query_id", "present", "gt_boxes"])
+    def test_episode_entry_missing_key(self, pack, ckpt, capsys, key):
+        _edit_manifest(pack, lambda man: man["episodes"][0].pop(key))
+        assert "malformed manifest" in self._eval_error(pack, ckpt, capsys)
+
+    def test_present_class_not_a_candidate(self, pack, ckpt, capsys):
+        def add_class_99(man):
+            meta = man["episodes"][0]
+            meta["present"].append(99)
+            meta["gt_boxes"]["99"] = [[0.0, 0.0, 1.0, 1.0]]
+
+        _edit_manifest(pack, add_class_99)
+        assert "not candidate classes" in self._eval_error(pack, ckpt, capsys)
 
     def test_overflowing_projector_checkpoint(self, pack, ckpt, capsys):
         """Projector weights that overflow the float32 fused map."""

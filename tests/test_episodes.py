@@ -17,7 +17,7 @@ from preselect.episodes import (
     synth_episode,
     synth_episodes,
 )
-from preselect.tensor_ops import FeatureMap, Level
+from preselect.tensor_ops import FeatureMap, Level, block_mean
 
 
 def fmap(arr, level=Level.L4):
@@ -149,6 +149,18 @@ class TestCorrelate:
             correlate(fmap(np.ones((3, 2, 2))), np.ones(4, np.float32))
 
 
+def oracle_fuse(maps, proj):
+    """Level fusion one level at a time: block-average the level onto the
+    L4 grid and round to float32, project it in float64, then average."""
+    h, w = maps[Level.L4].data.shape[1:]
+    projected = []
+    for lv in (Level.L2, Level.L3, Level.L4):
+        x = block_mean(maps[lv].data, h, w).astype(np.float32)
+        flat = x.reshape(len(x), h * w).astype(np.float64)
+        projected.append(proj.weights[lv].astype(np.float64) @ flat + proj.biases[lv][:, None])
+    return np.mean(projected, axis=0).reshape(-1, h, w).astype(np.float32)
+
+
 class TestFuseLevels:
     @staticmethod
     def _same_grid_maps(rng, c=4, hw=(4, 4)):
@@ -200,7 +212,7 @@ class TestFuseLevels:
                                            atol=1e-5)
 
     def test_batch_matches_correlate_and_fuse_levels(self):
-        """fuse_batch against correlate + fuse_levels, to 1e-6 relative."""
+        """fuse_batch against correlate + oracle_fuse, to 1e-6 relative."""
         rng = np.random.default_rng(13)
         cfg = SynthConfig(num_classes=9, k=2)
         channels = cfg.channels
@@ -216,7 +228,7 @@ class TestFuseLevels:
                 for i in range(9):
                     per_level = {lv: correlate(ep.levels[lv], protos[lv][i])
                                  for lv in ep.levels}
-                    want = fuse_levels(per_level, proj).data
+                    want = oracle_fuse(per_level, proj)
                     err = np.abs(got[i] - want).max() / np.abs(want).max()
                     assert err < 1e-6
 
@@ -351,3 +363,16 @@ class TestEpisodeInvariants:
                 present_classes=ep.present_classes,
                 gt_boxes={**ep.gt_boxes, cid: [(3.0, 2.0, 3.0, 4.0)]},
             )
+
+    @pytest.mark.parametrize("field", ["present_classes", "gt_boxes"])
+    def test_unknown_class_id_rejected(self, field):
+        """Present classes and boxes must name candidate classes: recall
+        would count a class that can never be selected."""
+        ep = synth_episode(SynthConfig(num_classes=5), 10)
+        present, boxes = set(ep.present_classes), dict(ep.gt_boxes)
+        boxes[99] = [(0.0, 0.0, 1.0, 1.0)]
+        if field == "present_classes":
+            present.add(99)
+        with pytest.raises(ValueError, match="99"):
+            Episode(query_id="bad", levels=ep.levels, supports=ep.supports,
+                    present_classes=frozenset(present), gt_boxes=boxes)

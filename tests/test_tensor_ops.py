@@ -1,7 +1,7 @@
 """Oracle and property tests for the dense array primitives: the
-feature-map type, block-average downsampling, and the spatial average,
-2x2 max pooling and softmax steps that the prototype builder and the
-batched scorer compute inline.
+feature-map type, block-average downsampling (block_mean), and the
+spatial average, 2x2 max pooling and softmax steps that the prototype
+builder and the batched scorer compute inline.
 
 Operations are checked against straightforward nested-loop references
 on random inputs, written independently of the vectorized code.
@@ -12,7 +12,7 @@ import pytest
 
 from preselect.episodes import build_prototype
 from preselect.scorer import _softmax, confidence_vectors_batch
-from preselect.tensor_ops import FeatureMap, Level, downsample_avg
+from preselect.tensor_ops import FeatureMap, Level, block_mean
 
 
 def fmap(arr, level=Level.L4):
@@ -114,17 +114,18 @@ class TestSoftmax2:
 
 class TestDownsampleAvg:
     def test_constant(self):
-        out = downsample_avg(fmap(np.full((1, 4, 4), 3.0)), 2, 2)
-        np.testing.assert_allclose(out.data, np.full((1, 2, 2), 3.0))
+        out = block_mean(np.full((1, 4, 4), 3.0, np.float32), 2, 2)
+        np.testing.assert_allclose(out, np.full((1, 2, 2), 3.0))
 
     def test_to_single_cell(self):
-        out = downsample_avg(fmap([[[1, 2], [3, 4]]]), 1, 1)
-        np.testing.assert_allclose(out.data, [[[2.5]]])
+        out = block_mean(np.float32([[[1, 2], [3, 4]]]), 1, 1)
+        np.testing.assert_allclose(out, [[[2.5]]])
 
     def test_block_mean_oracle(self):
         rng = np.random.default_rng(9)
         m = random_map(rng, 2, 8, 8)
-        out = downsample_avg(m, 2, 2)
+        out = block_mean(m.data, 2, 2)
+        assert out.dtype == np.float64
         for ch in range(2):
             for i in range(2):
                 for j in range(2):
@@ -132,23 +133,23 @@ class TestDownsampleAvg:
                     for dy in range(4):
                         for dx in range(4):
                             acc += float(m.data[ch, 4 * i + dy, 4 * j + dx])
-                    assert out.data[ch, i, j] == pytest.approx(acc / 16, rel=1e-5)
+                    assert out[ch, i, j] == pytest.approx(acc / 16, rel=1e-12)
 
     def test_rejects_nondivisible(self):
         with pytest.raises(ValueError):
-            downsample_avg(fmap(np.ones((1, 6, 6))), 4, 4)
+            block_mean(np.ones((1, 6, 6), np.float32), 4, 4)
 
 
 class TestSharedInvariants:
     def test_channel_counts_preserved(self):
         rng = np.random.default_rng(10)
         m = random_map(rng, 5, 6, 6)
-        assert downsample_avg(m, 3, 3).channels == 5
+        assert block_mean(m.data, 3, 3).shape == (5, 3, 3)
 
     def test_no_nan_on_finite_input(self):
         rng = np.random.default_rng(11)
         m = random_map(rng, 3, 4, 4)
-        assert np.all(np.isfinite(downsample_avg(m, 2, 2).data))
+        assert np.all(np.isfinite(block_mean(m.data, 2, 2)))
 
     def test_feature_map_rejects_nonfinite(self):
         bad = np.ones((1, 2, 2), np.float32)
