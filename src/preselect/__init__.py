@@ -4,7 +4,7 @@ class pre-selection, and the precision/latency metrics around them."""
 from .cost import CostProfile, REFERENCE_PROFILE, per_class_cost, predict_time
 from .episodes import Episode, FusionProjector, SynthConfig, synth_episode, synth_episodes
 from .metrics import average_precision, omission_rate, selection_recall
-from .scorer import Phase, ScoreModel, TrainConfig, score, train
+from .scorer import Phase, ScoreModel, TrainConfig, train
 from .selector import Adaptive, All, Detection, TopN, run_inference, select
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "per_class_cost",
     "predict_time",
     "run_inference",
-    "score",
     "select",
     "selection_recall",
     "synth_episode",

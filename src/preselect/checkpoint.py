@@ -18,13 +18,11 @@ import struct
 
 import numpy as np
 
-from .episodes import FusionProjector
+from .episodes import FEATURE_LEVELS, FusionProjector
 from .pack_io import read_exact, read_floats, require_bytes
 from .scorer import ScoreModel
-from .tensor_ops import Level
 
 MAGIC = b"TPF1"
-_LEVELS = (Level.L2, Level.L3, Level.L4)
 
 
 def _write_blob(f, arr: np.ndarray) -> None:
@@ -40,8 +38,8 @@ def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
         _write_blob(f, model.b1)
         _write_blob(f, model.w2)
         _write_blob(f, model.b2)
-        f.write(struct.pack("<I", len(_LEVELS)))
-        for lv in _LEVELS:
+        f.write(struct.pack("<I", len(FEATURE_LEVELS)))
+        for lv in FEATURE_LEVELS:
             w = proj.weights[lv]
             f.write(struct.pack("<II", w.shape[1], w.shape[0]))
             _write_blob(f, w)
@@ -62,10 +60,10 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
             eps=float(eps),
         )
         (n_levels,) = struct.unpack("<I", read_exact(f, 4))
-        if n_levels != len(_LEVELS):
+        if n_levels != len(FEATURE_LEVELS):
             raise ValueError(f"unexpected level count {n_levels}")
         weights, biases = {}, {}
-        for lv in _LEVELS:
+        for lv in FEATURE_LEVELS:
             c_in, c_out = struct.unpack("<II", read_exact(f, 8))
             require_bytes(f, 4 * c_out * (c_in + 1))
             weights[lv] = read_floats(f, (c_out, c_in))

@@ -4,8 +4,7 @@ time from a cost profile, and fit a profile back from measured timings.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,10 +91,11 @@ class FitResult:
 def measure(records: list[TimingRecord], n_ref: int | None = None) -> FitResult:
     """Least-squares fit of a CostProfile from measured stage timings.
 
-    Heavy-stage time is regressed on n_selected with an intercept (the
-    intercept folds into the backbone term); scoring time is regressed
-    through the origin on n_candidates. Needs at least two records with
-    distinct n_selected.
+    Fusion and detect time are regressed together on [1, n_selected], one
+    right-hand side each: the slopes give t_fusion and t_head (the toy
+    pipeline has no RPN stage, so t_rpn is 0) and the intercepts fold into
+    the backbone term. Scoring time is regressed through the origin on
+    n_candidates. Needs at least two records with distinct n_selected.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 timing records")
@@ -103,16 +103,13 @@ def measure(records: list[TimingRecord], n_ref: int | None = None) -> FitResult:
     if np.ptp(n_sel) == 0:
         raise ValueError("degenerate fit: all records share n_selected")
     n_cand = np.array([r.n_candidates for r in records], dtype=np.float64)
-    heavy = np.array(
-        [r.fusion_seconds + r.detect_seconds for r in records], dtype=np.float64
-    )
-    fuse_frac_num = sum(r.fusion_seconds for r in records)
-    fuse_frac_den = sum(r.fusion_seconds + r.detect_seconds for r in records)
-    fuse_frac = fuse_frac_num / fuse_frac_den if fuse_frac_den > 0 else 0.5
+    heavy = np.array([[r.fusion_seconds, r.detect_seconds] for r in records],
+                     dtype=np.float64)
 
     design = np.stack([np.ones_like(n_sel), n_sel], axis=1)
-    (h0, c_heavy), *_ = np.linalg.lstsq(design, heavy, rcond=None)
-    c_heavy = max(c_heavy, 0.0)
+    intercepts, slopes = np.linalg.lstsq(design, heavy, rcond=None)[0]
+    h0 = float(intercepts.sum())
+    c_fusion, c_detect = np.maximum(slopes, 0.0).tolist()
 
     scoring = np.array([r.scoring_seconds for r in records], dtype=np.float64)
     denom = float(n_cand @ n_cand)
@@ -123,24 +120,14 @@ def measure(records: list[TimingRecord], n_ref: int | None = None) -> FitResult:
 
     profile = CostProfile(
         t_backbone=max(setup + h0, 0.0),
-        t_fusion=c_heavy * n_ref * fuse_frac,
+        t_fusion=c_fusion * n_ref,
         t_rpn=0.0,
-        t_head=c_heavy * n_ref * (1.0 - fuse_frac),
+        t_head=c_detect * n_ref,
         t_tpf_per_class=c_tpf,
         n_ref=n_ref,
     )
-    pred = h0 + c_heavy * n_sel + c_tpf * n_cand + setup
-    obs = heavy + scoring + np.array([r.setup_seconds for r in records])
+    pred = h0 + (c_fusion + c_detect) * n_sel + c_tpf * n_cand + setup
+    obs = heavy.sum(axis=1) + scoring + np.array([r.setup_seconds for r in records])
     residual = float(np.sqrt(np.mean((pred - obs) ** 2)))
     return FitResult(profile=profile, residual=residual)
 
-
-def save_profile(path, p: CostProfile) -> None:
-    with open(path, "w") as f:
-        json.dump(asdict(p), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_profile(path) -> CostProfile:
-    with open(path) as f:
-        return CostProfile(**json.load(f))

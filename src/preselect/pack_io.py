@@ -25,11 +25,10 @@ from io import BufferedReader, BufferedWriter
 
 import numpy as np
 
-from .episodes import Episode, SynthConfig
-from .tensor_ops import FeatureMap, Level
+from .episodes import FEATURE_LEVELS, Episode, SynthConfig
+from .tensor_ops import FeatureMap
 
 MAGIC = b"EPK1"
-_LEVELS = (Level.L2, Level.L3, Level.L4)
 
 
 def write_tensor(f: BufferedWriter, arr: np.ndarray) -> None:
@@ -79,7 +78,7 @@ def read_tensor(f: BufferedReader, shape: tuple[int, ...]) -> np.ndarray:
 def _map_shapes(man: dict) -> tuple[dict, dict]:
     """(query, support) (C, H, W) shape per level from the manifest."""
     query, support = {}, {}
-    for lv in _LEVELS:
+    for lv in FEATURE_LEVELS:
         meta = man["levels"][lv.value]
         c = int(meta["channels"])
         query[lv] = (c, *(int(d) for d in meta["query_grid"]))
@@ -90,7 +89,7 @@ def _map_shapes(man: dict) -> tuple[dict, dict]:
 def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
     levels_meta = {}
     first = episodes[0]
-    for lv in _LEVELS:
+    for lv in FEATURE_LEVELS:
         q = first.levels[lv]
         s = first.supports[first.class_ids[0]][0][lv]
         levels_meta[lv.value] = {
@@ -132,11 +131,11 @@ def write_pack(path, episodes: list[Episode], cfg: SynthConfig | None = None) ->
         f.write(struct.pack("<I", len(manifest)))
         f.write(manifest)
         for ep in episodes:
-            for lv in _LEVELS:
+            for lv in FEATURE_LEVELS:
                 write_tensor(f, ep.levels[lv].data)
             for cid in ep.class_ids:
                 for shot in ep.supports[cid]:
-                    for lv in _LEVELS:
+                    for lv in FEATURE_LEVELS:
                         write_tensor(f, shot[lv].data)
 
 
@@ -160,15 +159,18 @@ def read_pack(path) -> list[Episode]:
             ]
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: malformed manifest: {e!r}") from None
+        if not labels:
+            raise ValueError(f"{path}: the manifest lists no episodes")
         episodes = []
         for query_id, present, gt_boxes in labels:
-            levels = {lv: FeatureMap(read_tensor(f, query_shapes[lv]), lv) for lv in _LEVELS}
+            levels = {lv: FeatureMap(read_tensor(f, query_shapes[lv]), lv)
+                      for lv in FEATURE_LEVELS}
             supports = {}
             for cid in range(num_classes):
                 shots = []
                 for _ in range(k):
                     shots.append({lv: FeatureMap(read_tensor(f, support_shapes[lv]), lv)
-                                  for lv in _LEVELS})
+                                  for lv in FEATURE_LEVELS})
                 supports[cid] = shots
             episodes.append(Episode(query_id=query_id, levels=levels, supports=supports,
                                     present_classes=present, gt_boxes=gt_boxes))

@@ -254,11 +254,6 @@ def predict(model: ScoreModel, c: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
     return _softmax(logits)[0], logits[0]
 
 
-def score(model: ScoreModel, c: FeatureMap) -> float:
-    """Existence score: the positive-class softmax probability."""
-    return float(scores_batch(model, c.data[None])[0])
-
-
 @dataclass
 class Gradients:
     w1: np.ndarray

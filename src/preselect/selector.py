@@ -13,7 +13,7 @@ import numpy as np
 
 from .episodes import Box, Episode, FusionProjector, align_query, fuse_batch, prototype_matrices
 from .scorer import ScoreModel, query_scores, query_stats
-from .tensor_ops import FeatureMap, Level
+from .tensor_ops import Level
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,16 @@ def select(scores: dict[int, float], strategy: SelectionStrategy) -> list[int]:
     return ranked
 
 
-def detect_toy(fused: FeatureMap, peak_threshold: float = 0.5,
-               class_id: int = -1) -> list[Detection]:
-    """Blob detector on the channel-mean heat map.
-
-    Cells at or above peak_threshold * global max form 4-connected
-    components; each becomes a box with confidence = component peak.
-    An all-nonpositive heat map yields no detections.
-    """
-    return detect_batch(fused.data[None], peak_threshold, [class_id])[0]
-
-
 def detect_batch(fused: np.ndarray, peak_threshold: float,
                  class_ids: list[int]) -> list[list[Detection]]:
-    """detect_toy for each map of an (N, C, H, W) stack, labelled in one
-    pass; the n-th list holds class_ids[n]'s detections."""
+    """Blob detector on the channel-mean heat map of each map of an
+    (N, C, H, W) stack, labelled in one pass; the n-th list holds
+    class_ids[n]'s detections.
+
+    In each heat map, cells at or above peak_threshold * its max form
+    4-connected components; each becomes a box with confidence = component
+    peak. An all-nonpositive heat map yields no detections.
+    """
     heat = fused.astype(np.float64).mean(axis=1)
     n, h, w = heat.shape
     peak = heat.max(axis=(1, 2))

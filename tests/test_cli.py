@@ -204,6 +204,22 @@ class TestMalformedInputs:
         _edit_manifest(pack, add_class_99)
         assert "not candidate classes" in self._eval_error(pack, ckpt, capsys)
 
+    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
+    def test_pack_without_episodes(self, tmp_path, pack, ckpt, capsys, command):
+        """A manifest that lists no episodes, followed by no tensors."""
+        _edit_manifest(pack, lambda man: man.update(episodes=[]))
+        raw = pack.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[4:8])
+        pack.write_bytes(raw[: 8 + mlen])
+        args = {"train": TRAIN_ARGS + ["-o", str(tmp_path / "out.ckpt")],
+                "eval": ["eval", "--checkpoint", str(ckpt)],
+                "bench": ["bench", "--checkpoint", str(ckpt)]}[command]
+        code = main(args + ["--pack", str(pack)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_VALIDATION
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "no episodes" in err[0]
+
     def test_overflowing_projector_checkpoint(self, pack, ckpt, capsys):
         """Projector weights that overflow the float32 fused map."""
         model, proj = load_checkpoint(ckpt)

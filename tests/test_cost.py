@@ -9,11 +9,9 @@ from preselect.cost import (
     CostProfile,
     FitResult,
     TimingRecord,
-    load_profile,
     measure,
     per_class_cost,
     predict_time,
-    save_profile,
 )
 
 
@@ -130,18 +128,16 @@ class TestMeasure:
         total = fit.profile.t_fusion + fit.profile.t_rpn + fit.profile.t_head
         assert fit.profile.t_fusion == pytest.approx(0.4 * total, rel=1e-6)
 
+    def test_constant_fusion_has_no_per_class_cost(self):
+        """Fusion time that does not grow with the selection is a per-query
+        cost: it goes to the backbone term, and only detect gets a slope."""
+        records = [TimingRecord(n_candidates=20, n_selected=n, scoring_seconds=0.04,
+                                fusion_seconds=0.004, detect_seconds=0.003 * n,
+                                setup_seconds=0.01)
+                   for n in (20, 15, 10, 5)]
+        fit = measure(records, n_ref=20)
+        assert fit.profile.t_fusion == pytest.approx(0.0, abs=1e-12)
+        assert fit.profile.t_head == pytest.approx(0.003 * 20, rel=1e-9)
+        assert fit.profile.t_backbone == pytest.approx(0.014, rel=1e-9)
+        assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
-class TestProfileIo:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "profile.json"
-        save_profile(path, REFERENCE_PROFILE)
-        assert load_profile(path) == REFERENCE_PROFILE
-
-    def test_file_is_plain_json(self, tmp_path):
-        import json
-
-        path = tmp_path / "profile.json"
-        save_profile(path, REFERENCE_PROFILE)
-        data = json.loads(path.read_text())
-        assert data["n_ref"] == 20
-        assert data["t_backbone"] == pytest.approx(0.013)

@@ -6,6 +6,7 @@ import pytest
 
 from preselect.episodes import FusionProjector, SynthConfig, synth_episodes
 from preselect.metrics import (
+    EvalReport,
     average_precision,
     class_recall_report,
     collect_detections,
@@ -15,7 +16,7 @@ from preselect.metrics import (
     selection_recall,
 )
 from preselect.scorer import ScoreModel
-from preselect.selector import All, run_inference
+from preselect.selector import Adaptive, All, TopN, run_inference
 from preselect.tensor_ops import Level
 
 
@@ -236,3 +237,62 @@ class TestAggregation:
         assert report.ap_minor == report.ap_full
         assert report.omission_rate == 0.0
         assert report.mean_recall == 1.0
+
+
+def two_pass_evaluate(model, proj, episodes, strategy):
+    """evaluate's report fields from a full loop and a separate minor loop
+    per episode: the reference that the single pass must equal."""
+    full = [run_inference(model, proj, ep, All()) for ep in episodes]
+    minor = [run_inference(model, proj, ep, strategy) for ep in episodes]
+    dets_full, gts = collect_detections(episodes, full)
+    dets_minor, _ = collect_detections(episodes, minor)
+    ap_full, _ = average_precision(dets_full, gts)
+    ap_minor, _ = average_precision(dets_minor, gts)
+    per_class, mean_recall = class_recall_report(episodes, minor)
+    orate = omission_rate(ap_full, ap_minor) if ap_full > 0 else 0.0
+    return ap_full, ap_minor, orate, per_class, mean_recall
+
+
+class TestSinglePassEvaluate:
+    @staticmethod
+    def _pipeline():
+        cfg = SynthConfig(num_classes=6, present_count=2, k=2)
+        episodes = synth_episodes(cfg, 4, 8)
+        channels = {lv: episodes[0].levels[lv].channels for lv in episodes[0].levels}
+        model = ScoreModel.init(channels[Level.L4], hidden=16, seed=4)
+        proj = FusionProjector.random(channels, 24, np.random.default_rng(4))
+        return model, proj, episodes
+
+    def test_one_full_loop_per_episode(self, monkeypatch):
+        model, proj, episodes = self._pipeline()
+        strategies = []
+
+        def counting(model, proj, ep, strategy, peak_threshold):
+            strategies.append(strategy)
+            return run_inference(model, proj, ep, strategy, peak_threshold)
+
+        monkeypatch.setattr("preselect.metrics.run_inference", counting)
+        report = evaluate(model, proj, episodes, TopN(2))
+        assert strategies == [All()] * len(episodes)
+        assert set(report.timings) == {"full_setup", "full_scoring", "full_fusion",
+                                       "full_detect"}
+
+    def test_matches_two_pass_oracle(self):
+        model, proj, episodes = self._pipeline()
+        scores = [s for ep in episodes
+                  for s in run_inference(model, proj, ep, All()).scores.values()]
+        assert max(scores) < 1.0  # so Adaptive(1.0) selects nothing
+        thresholds = [0.0, float(np.median(scores)), float(np.percentile(scores, 75)), 1.0]
+        n = len(episodes[0].class_ids)
+        strategies = ([TopN(k) for k in range(1, n + 1)]
+                      + [Adaptive(t) for t in thresholds] + [All()])
+        for strategy in strategies:
+            report = evaluate(model, proj, episodes, strategy)
+            got = (report.ap_full, report.ap_minor, report.omission_rate,
+                   report.per_class_recall, report.mean_recall)
+            assert got == two_pass_evaluate(model, proj, episodes, strategy), strategy
+        assert report.ap_full > 0
+
+    def test_no_episodes(self):
+        model, proj, _ = self._pipeline()
+        assert evaluate(model, proj, [], TopN(2)) == EvalReport(0.0, 0.0, 0.0, {}, 1.0, {})

@@ -157,7 +157,7 @@ class TestCheckpoint:
 
     def test_scores_survive_round_trip(self, tmp_path):
         """A reloaded model scores maps identically to the original."""
-        from preselect.scorer import score
+        from preselect.scorer import scores_batch
         from preselect.tensor_ops import FeatureMap
 
         model, proj = self._state(seed=1)
@@ -168,4 +168,4 @@ class TestCheckpoint:
         for _ in range(5):
             m = FeatureMap(rng.standard_normal((8, 4, 4)).astype(np.float32),
                            Level.L4)
-            assert score(m2, m) == score(model, m)
+            assert scores_batch(m2, m.data[None])[0] == scores_batch(model, m.data[None])[0]

@@ -33,7 +33,6 @@ from preselect.scorer import (
     query_confidence_vectors,
     query_scores,
     query_stats,
-    score,
     scores_batch,
     train,
 )
@@ -126,13 +125,13 @@ class TestPredict:
         model = tiny_model(rng)
         m = random_map(rng)
         probs, _ = predict(model, m)
-        assert score(model, m) == pytest.approx(float(probs[POSITIVE]))
+        assert scores_batch(model, m.data[None])[0] == pytest.approx(float(probs[POSITIVE]))
 
     def test_score_ranking_matches_logit_difference(self):
         rng = np.random.default_rng(3)
         model = tiny_model(rng)
         maps = [random_map(rng) for _ in range(12)]
-        scores = [score(model, m) for m in maps]
+        scores = [scores_batch(model, m.data[None])[0] for m in maps]
         diffs = []
         for m in maps:
             _, logits = predict(model, m)
@@ -169,7 +168,7 @@ class TestBatchedScoring:
         batched = scores_batch(model, maps)
         for i in range(10):
             assert batched[i] == pytest.approx(
-                score(model, fmap(maps[i])), abs=1e-5
+                scores_batch(model, maps[i][None])[0], abs=1e-5
             )
 
     @pytest.mark.parametrize("gap", [1.0, 1e3])

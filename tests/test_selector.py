@@ -20,17 +20,12 @@ from preselect.selector import (
     All,
     TopN,
     detect_batch,
-    detect_toy,
     label4,
     run_inference,
     score_all,
     select,
 )
 from preselect.tensor_ops import FeatureMap, Level
-
-
-def fused(arr):
-    return FeatureMap(np.asarray(arr, dtype=np.float32), Level.FUSED)
 
 
 def flood_fill_labels(mask):
@@ -153,23 +148,25 @@ class TestSelect:
 
 
 class TestDetectToy:
+    """detect_batch on one map (N=1)."""
+
     def test_single_hot_cell(self):
-        heat = np.zeros((1, 4, 4))
-        heat[0, 1, 2] = 5.0
-        dets = detect_toy(fused(heat), class_id=7)
+        heat = np.zeros((1, 1, 4, 4), np.float32)
+        heat[0, 0, 1, 2] = 5.0
+        dets = detect_batch(heat, 0.5, [7])[0]
         assert len(dets) == 1
         assert dets[0].box == (2.0, 1.0, 3.0, 2.0)
         assert dets[0].confidence == pytest.approx(5.0)
         assert dets[0].class_id == 7
 
     def test_nonpositive_peak_yields_nothing(self):
-        assert detect_toy(fused(np.full((2, 3, 3), -1.0))) == []
+        assert detect_batch(np.full((1, 2, 3, 3), -1.0, np.float32), 0.5, [0]) == [[]]
 
     def test_two_separate_components(self):
-        heat = np.zeros((1, 5, 5))
-        heat[0, 0, 0] = 4.0
-        heat[0, 4, 4] = 3.0
-        dets = detect_toy(fused(heat))
+        heat = np.zeros((1, 1, 5, 5), np.float32)
+        heat[0, 0, 0, 0] = 4.0
+        heat[0, 0, 4, 4] = 3.0
+        dets = detect_batch(heat, 0.5, [0])[0]
         assert len(dets) == 2
         # Sorted by confidence, descending.
         assert dets[0].confidence == pytest.approx(4.0)
@@ -177,23 +174,23 @@ class TestDetectToy:
 
     def test_diagonal_cells_not_connected(self):
         # 4-connectivity: diagonal neighbors form separate components.
-        heat = np.zeros((1, 3, 3))
-        heat[0, 0, 0] = 2.0
-        heat[0, 1, 1] = 2.0
-        assert len(detect_toy(fused(heat))) == 2
+        heat = np.zeros((1, 1, 3, 3), np.float32)
+        heat[0, 0, 0, 0] = 2.0
+        heat[0, 0, 1, 1] = 2.0
+        assert len(detect_batch(heat, 0.5, [0])[0]) == 2
 
     def test_plus_shape_single_component(self):
-        heat = np.zeros((1, 3, 3))
+        heat = np.zeros((1, 1, 3, 3), np.float32)
         for y, x in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
-            heat[0, y, x] = 3.0
-        dets = detect_toy(fused(heat))
+            heat[0, 0, y, x] = 3.0
+        dets = detect_batch(heat, 0.5, [0])[0]
         assert len(dets) == 1
         assert dets[0].box == (0.0, 0.0, 3.0, 3.0)
 
     def test_channel_mean_oracle(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((4, 6, 6)).astype(np.float32)
-        dets = detect_toy(fused(data), peak_threshold=0.5)
+        dets = detect_batch(data[None], 0.5, [0])[0]
         heat = data.astype(np.float64).mean(axis=0)
         peak = heat.max()
         n_cells = int((heat >= 0.5 * peak).sum())
@@ -209,8 +206,9 @@ class TestDetectToy:
             -((np.arange(8)[:, None] - 4) ** 2 + (np.arange(8)[None, :] - 4) ** 2)
             / 4.0
         )
-        tight = detect_toy(fused(blob[None]), peak_threshold=0.9)[0].box
-        loose = detect_toy(fused(blob[None]), peak_threshold=0.2)[0].box
+        maps = np.float32(blob)[None, None]
+        tight = detect_batch(maps, 0.9, [0])[0][0].box
+        loose = detect_batch(maps, 0.2, [0])[0][0].box
         assert loose[0] <= tight[0] and loose[1] <= tight[1]
         assert loose[2] >= tight[2] and loose[3] >= tight[3]
 
@@ -253,6 +251,7 @@ class TestLabel4:
 
 class TestDetectBatch:
     def test_matches_per_map_detect_toy(self):
+        """A batch of maps against one N=1 call per map."""
         rng = np.random.default_rng(23)
         maps = rng.standard_normal((12, 3, 7, 9)).astype(np.float32)
         maps[4] = -np.abs(maps[4])  # all-nonpositive heat map: no detections
@@ -260,7 +259,7 @@ class TestDetectBatch:
         batch = detect_batch(maps, 0.4, ids)
         assert batch[4] == []
         for i, m in enumerate(maps):
-            assert batch[i] == detect_toy(fused(m), 0.4, class_id=ids[i])
+            assert batch[i] == detect_batch(m[None], 0.4, [ids[i]])[0]
 
     def test_empty_batch(self):
         assert detect_batch(np.zeros((0, 2, 4, 4), np.float32), 0.5, []) == []
