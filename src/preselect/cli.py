@@ -2,7 +2,8 @@
 
 A JSON config file may supply any long-option value; explicit flags win.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
-All report numbers are printed with 4 decimals so runs diff cleanly.
+eval rounds its report to 4 decimals so runs diff cleanly; bench prints
+one JSON line of unrounded, non-deterministic timings.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import checkpoint, cost, pack_io
@@ -139,57 +139,51 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Time the full and the minor loop on every episode of a pack and print
+    one JSON record: each loop's per-stage sums, the heavy ratio and scoring
+    overhead formed from them, the fitted cost profile and the reference
+    profile's prediction. Seconds are not rounded."""
     model, proj = checkpoint.load_checkpoint(args.checkpoint)
     episodes = pack_io.read_pack(args.pack)
-    strategy = _strategy(args)
-    n_classes = len(episodes[0].class_ids)
+    loops = {"full": All(), "minor": _strategy(args)}
+    # One untimed query per loop, so that the first timed one runs warm.
+    for strategy in loops.values():
+        run_inference(model, proj, episodes[0], strategy, args.peak)
 
+    timings = {tag: [] for tag in loops}
     records = []
-    totals = {"full": 0.0, "minor": 0.0, "full_heavy": 0.0, "minor_heavy": 0.0,
-              "minor_scoring": 0.0}
     for ep in episodes:
-        t0 = time.perf_counter()
-        full = run_inference(model, proj, ep, All(), args.peak)
-        t_full = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        minor = run_inference(model, proj, ep, strategy, args.peak)
-        t_minor = time.perf_counter() - t0
-        totals["full"] += t_full
-        totals["minor"] += t_minor
-        for res, tag in ((full, "full"), (minor, "minor")):
-            totals[f"{tag}_heavy"] = totals.get(f"{tag}_heavy", 0.0) + \
-                res.timings["fusion"] + res.timings["detect"]
-        totals["minor_scoring"] += minor.timings["scoring"]
-        for res in (full, minor):
+        for tag, strategy in loops.items():
+            res = run_inference(model, proj, ep, strategy, args.peak)
+            timings[tag].append(res.timings)
             records.append(cost.TimingRecord(
-                n_candidates=n_classes,
-                n_selected=len(res.selected),
-                scoring_seconds=res.timings["scoring"],
-                fusion_seconds=res.timings["fusion"],
-                detect_seconds=res.timings["detect"],
-                setup_seconds=res.timings["setup"],
-            ))
+                n_candidates=len(ep.class_ids), n_selected=len(res.selected),
+                **{f"{stage}_seconds": t for stage, t in res.timings.items()}))
+    fit = cost.measure(records, n_ref=len(episodes[0].class_ids))
 
-    print(f"config {_config_hash(args)}")
-    ratio = totals["minor_heavy"] / totals["full_heavy"] if totals["full_heavy"] else 1.0
-    print(f"measured (non-deterministic): full {totals['full']:.4f}s "
-          f"minor {totals['minor']:.4f}s heavy-ratio {ratio:.4f} "
-          f"scoring-overhead {totals['minor_scoring'] / totals['full']:.4f}")
-    try:
-        fit = cost.measure(records, n_ref=n_classes)
-    except ValueError as e:
-        print(f"profile fit failed: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    print(f"fitted profile: backbone {fit.profile.t_backbone:.4f}s "
-          f"per-class heavy {cost.per_class_cost(fit.profile):.4f}s "
-          f"scoring/class {fit.profile.t_tpf_per_class:.4f}s "
-          f"residual {fit.residual:.4f}s")
-
-    # Published profile figures: 20 candidates, 10 kept by the filter.
+    sums = {tag: {stage: sum(t[stage] for t in ts) for stage in ts[0]}
+            for tag, ts in timings.items()}
+    heavy = {tag: s["fusion"] + s["detect"] for tag, s in sums.items()}
     ref = cost.REFERENCE_PROFILE
-    print(f"reference-profile prediction (20 classes, keep 10): full "
-          f"{cost.predict_time(ref, 20, 20, False):.4f}s "
-          f"minor {cost.predict_time(ref, 20, 10, True):.4f}s")
+    record = {
+        "config": _config_hash(args),
+        "episodes": len(episodes),
+        "stage_seconds": sums,
+        "heavy_ratio": heavy["minor"] / heavy["full"],
+        "scoring_overhead": sums["minor"]["scoring"] / sum(sums["full"].values()),
+        "fit": {
+            "backbone_seconds": fit.profile.t_backbone,
+            "heavy_seconds_per_class": cost.per_class_cost(fit.profile),
+            "scoring_seconds_per_class": fit.profile.t_tpf_per_class,
+            "residual_seconds": fit.residual,
+        },
+        # The published profile: 20 candidates, 10 kept by the filter.
+        "reference": {
+            "full_seconds": cost.predict_time(ref, 20, 20, False),
+            "minor_seconds": cost.predict_time(ref, 20, 10, True),
+        },
+    }
+    print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 

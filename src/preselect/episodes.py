@@ -12,7 +12,7 @@ fuse_batch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class FusionProjector:
     weights: dict[Level, np.ndarray]
     biases: dict[Level, np.ndarray]
 
-    @property
-    def out_channels(self) -> int:
-        return next(iter(self.weights.values())).shape[0]
-
     @classmethod
     def identity(cls, channels: dict[Level, int], out_channels: int) -> "FusionProjector":
         """Identity-like init: eye padded/truncated to out_channels rows."""
@@ -129,16 +125,6 @@ class FusionProjector:
             for i in range(min(out_channels, c_in)):
                 w[i, i] = 1.0
             weights[level] = w
-            biases[level] = np.zeros(out_channels, dtype=np.float32)
-        return cls(weights, biases)
-
-    @classmethod
-    def random(cls, channels: dict[Level, int], out_channels: int,
-               rng: np.random.Generator) -> "FusionProjector":
-        weights, biases = {}, {}
-        for level, c_in in channels.items():
-            bound = np.sqrt(6.0 / (c_in + out_channels))
-            weights[level] = rng.uniform(-bound, bound, (out_channels, c_in)).astype(np.float32)
             biases[level] = np.zeros(out_channels, dtype=np.float32)
         return cls(weights, biases)
 
@@ -153,7 +139,7 @@ def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> Feature
     """Align all levels to the L4 grid, project channels, and average:
     fuse_batch of one class whose prototype entries are all one.
 
-    Returns a FUSED map with proj.out_channels channels on the L4 grid.
+    Returns a FUSED map with proj's output channels on the L4 grid.
     """
     ones = {lv: np.ones((1, maps[lv].channels), np.float32) for lv in FEATURE_LEVELS}
     return FeatureMap(fuse_batch(align_query(maps), ones, proj)[0], Level.FUSED)
@@ -194,6 +180,13 @@ def fuse_batch(aligned: np.ndarray, protos: dict[Level, np.ndarray],
     return fused.reshape(n, len(weights), h, w)
 
 
+# Synthetic feature dims per level: channels, and the (H, W) grids of a
+# query and of a support shot.
+CHANNELS = {Level.L2: 16, Level.L3: 32, Level.L4: 64}
+QUERY_GRIDS = {Level.L2: (32, 32), Level.L3: (16, 16), Level.L4: (8, 8)}
+SUPPORT_GRIDS = {Level.L2: (8, 8), Level.L3: (4, 4), Level.L4: (2, 2)}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic episode generator."""
@@ -201,15 +194,6 @@ class SynthConfig:
     num_classes: int = 20
     present_count: int = 3
     k: int = 3
-    channels: dict[Level, int] = field(
-        default_factory=lambda: {Level.L2: 16, Level.L3: 32, Level.L4: 64}
-    )
-    query_grids: dict[Level, tuple[int, int]] = field(
-        default_factory=lambda: {Level.L2: (32, 32), Level.L3: (16, 16), Level.L4: (8, 8)}
-    )
-    support_grids: dict[Level, tuple[int, int]] = field(
-        default_factory=lambda: {Level.L2: (8, 8), Level.L3: (4, 4), Level.L4: (2, 2)}
-    )
     blob_amplitude: float = 10.0
     noise_sigma: float = 0.3
 
@@ -234,13 +218,13 @@ def _class_signatures(cfg: SynthConfig, seed: int) -> dict[Level, np.ndarray]:
     permutations keep every cross-class energy strictly smaller -- that
     is what guarantees noise-free present/absent separation even when
     there are more classes than channels. Signatures depend only on
-    (cfg dims, seed), so every episode drawn from one seed shares the
-    same class identities.
+    (cfg.num_classes, seed), so every episode drawn from one seed shares
+    the same class identities.
     """
     rng = np.random.default_rng(seed)
     sigs = {}
     for level in FEATURE_LEVELS:
-        c = cfg.channels[level]
+        c = CHANNELS[level]
         pattern = _SIGNATURE_DECAY ** np.arange(c)
         mags = np.sqrt(pattern / pattern.sum())  # descending, unit L2 norm
         out = np.zeros((cfg.num_classes, c))
@@ -276,7 +260,7 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
     present = sorted(
         rng.choice(cfg.num_classes, size=cfg.present_count, replace=False).tolist()
     )
-    h4, w4 = cfg.query_grids[Level.L4]
+    h4, w4 = QUERY_GRIDS[Level.L4]
 
     # Blob placements on the L4 grid; kept away from the border so the
     # extent box stays inside every level's grid, and spaced apart so
@@ -296,8 +280,8 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
 
     levels: dict[Level, FeatureMap] = {}
     for level in FEATURE_LEVELS:
-        c = cfg.channels[level]
-        h, w = cfg.query_grids[level]
+        c = CHANNELS[level]
+        h, w = QUERY_GRIDS[level]
         scale = h / h4
         q = rng.standard_normal((c, h, w)) * cfg.noise_sigma
         for cid, cy, cx, bsig in placements:
@@ -312,8 +296,8 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
         for _ in range(cfg.k):
             shot = {}
             for level in FEATURE_LEVELS:
-                c = cfg.channels[level]
-                sh, sw = cfg.support_grids[level]
+                c = CHANNELS[level]
+                sh, sw = SUPPORT_GRIDS[level]
                 s = sigs[level][cid][:, None, None] + rng.standard_normal(
                     (c, sh, sw)
                 ) * cfg.noise_sigma

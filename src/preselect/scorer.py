@@ -12,6 +12,7 @@ one query from that query's statistics, without forming the maps
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,7 @@ from .tensor_ops import FeatureMap, Level
 HIDDEN_DIM = 512
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 POSITIVE = 1  # index of the "class is present" logit
+GRAD_CLIP = 1.0  # largest global L2 norm of the scorer gradient in one SGD step
 
 
 @dataclass
@@ -236,19 +238,14 @@ def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, z))
 
 
-def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities for a stack of (N, C, H, W) maps."""
-    return _positive_probs(model, confidence_vectors_batch(maps, model.eps))
-
-
 def query_scores(model: ScoreModel, stats: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """scores_batch of the correlation maps protos[n] * q for prototypes
-    (N, C), given query_stats(q) of the L4 query q."""
+    """Positive-class probabilities of the correlation maps protos[n] * q
+    for prototypes (N, C), given query_stats(q) of the L4 query q."""
     return _positive_probs(model, query_confidence_vectors(stats, protos, model.eps))
 
 
 def predict(model: ScoreModel, c: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    """scores_batch's forward pass for one map: (probs, logits), both dim 2."""
+    """The scorer's forward pass for one map: (probs, logits), both dim 2."""
     v = confidence_vectors_batch(c.data[None], model.eps).astype(np.float32)
     logits = _mlp(model, v)[1]
     return _softmax(logits)[0], logits[0]
@@ -317,6 +314,17 @@ def _batch_loss_and_grads(
     return loss, grads, input_grads
 
 
+def _clip_scale(grads: Gradients) -> float:
+    """The factor that brings the scorer gradient's global L2 norm down to
+    GRAD_CLIP, or 1.0 if it is already within it."""
+    squares = 0.0
+    for g in (grads.w1, grads.b1, grads.w2, grads.b2):
+        v = g.ravel().astype(np.float64)
+        squares += float(v @ v)
+    norm = math.sqrt(squares)
+    return GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
+
+
 class Phase(Enum):
     JOINT = "joint"      # update scorer + fusion projections on fused maps
     TPF_ONLY = "tpf"     # scorer only, fed by deepest-level maps
@@ -380,7 +388,8 @@ def train(
     episodes: list[Episode],
     cfg: TrainConfig,
 ) -> tuple[ScoreModel, FusionProjector, list[float]]:
-    """Plain SGD over sampled (map, label) pairs.
+    """Plain SGD over sampled (map, label) pairs; each scorer step is
+    clipped to a gradient of global L2 norm GRAD_CLIP.
 
     JOINT updates both the scorer and the fusion projections (loss fed
     by fused maps, fuse_batch); TPF_ONLY freezes the projections and
@@ -432,10 +441,11 @@ def train(
             n_batches += 1
 
             lr = cfg.learning_rate
-            model.w1 = (model.w1 - lr * grads.w1).astype(np.float32)
-            model.b1 = (model.b1 - lr * grads.b1).astype(np.float32)
-            model.w2 = (model.w2 - lr * grads.w2).astype(np.float32)
-            model.b2 = (model.b2 - lr * grads.b2).astype(np.float32)
+            step = lr * _clip_scale(grads)
+            model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
+            model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
+            model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
+            model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
 
             if joint:
                 _apply_fusion_grads(proj, groups, input_grads, lr)

@@ -65,11 +65,11 @@ class TestTrain:
         assert code == EXIT_VALIDATION
 
     def test_divergence_is_numerical_error(self, tmp_path, pack):
-        import numpy as np
-
+        # A clipped step moves the scorer by at most lr, so only an lr past
+        # float32's range (one step overflows the weights) diverges.
         with np.errstate(all="ignore"):
             code = main(["train", "--phases", "tpf", "--epochs", "5",
-                         "--lr", "1e30", "--hidden", "16",
+                         "--lr", "1e39", "--hidden", "16",
                          "--pack", str(pack), "-o", str(tmp_path / "m.ckpt")])
         assert code == EXIT_NUMERICAL
 
@@ -270,8 +270,23 @@ class TestBench:
         code = main(["bench", "--checkpoint", str(ckpt), "--pack", str(pack),
                      "--strategy", "topn", "--top-n", "3"])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "heavy-ratio" in out
-        assert "reference-profile prediction" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        sums = record["stage_seconds"]
+        heavy = {tag: sums[tag]["fusion"] + sums[tag]["detect"] for tag in ("full", "minor")}
+        assert record["heavy_ratio"] == heavy["minor"] / heavy["full"]
+        assert 0.0 < record["heavy_ratio"]
+        assert record["fit"]["scoring_seconds_per_class"] > 0.0
         # The published 20-class full-loop figure appears in the report.
-        assert "0.7330" in out
+        assert record["reference"]["full_seconds"] == pytest.approx(0.733, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", [["--strategy", "all"], ["--top-n", "6"]])
+    def test_degenerate_fit_is_validation_error(self, pack, ckpt, capsys, strategy):
+        """A minor loop that keeps every class times the same work as the
+        full loop, so no per-class cost can be fitted."""
+        code = main(["bench", "--checkpoint", str(ckpt), "--pack", str(pack)] + strategy)
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from preselect.episodes import (
+    CHANNELS,
     Episode,
     FusionProjector,
     SynthConfig,
@@ -18,6 +19,8 @@ from preselect.episodes import (
     synth_episodes,
 )
 from preselect.tensor_ops import FeatureMap, Level, block_mean
+
+from helpers import random_projector
 
 
 def fmap(arr, level=Level.L4):
@@ -194,7 +197,7 @@ class TestFuseLevels:
             Level.L4: fmap(rng.standard_normal((4, 4, 4)), Level.L4),
         }
         channels = {Level.L2: 2, Level.L3: 3, Level.L4: 4}
-        proj = FusionProjector.random(channels, 4, rng)
+        proj = random_projector(channels, 4, rng)
         fused = fuse_levels(maps, proj)
         assert fused.data.shape == (4, 4, 4)
         for y in range(4):
@@ -215,16 +218,16 @@ class TestFuseLevels:
         """fuse_batch against correlate + oracle_fuse, to 1e-6 relative."""
         rng = np.random.default_rng(13)
         cfg = SynthConfig(num_classes=9, k=2)
-        channels = cfg.channels
-        for proj in (FusionProjector.identity(channels, 64),
-                     FusionProjector.random(channels, 40, rng)):
-            proj.biases = {lv: rng.standard_normal(proj.out_channels).astype(np.float32)
+        for proj in (FusionProjector.identity(CHANNELS, 64),
+                     random_projector(CHANNELS, 40, rng)):
+            out = len(proj.biases[Level.L4])
+            proj.biases = {lv: rng.standard_normal(out).astype(np.float32)
                            for lv in proj.biases}
             for ep in synth_episodes(cfg, 14, 3):
                 protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
                 got = fuse_batch(align_query(ep.levels), protos, proj)
                 assert got.dtype == np.float32
-                assert got.shape == (9, proj.out_channels, 8, 8)
+                assert got.shape == (9, out, 8, 8)
                 for i in range(9):
                     per_level = {lv: correlate(ep.levels[lv], protos[lv][i])
                                  for lv in ep.levels}

@@ -19,6 +19,8 @@ from preselect.scorer import ScoreModel
 from preselect.selector import Adaptive, All, TopN, run_inference
 from preselect.tensor_ops import Level
 
+from helpers import random_projector
+
 
 class TestOmissionRate:
     def test_ten_percent_loss(self):
@@ -260,7 +262,7 @@ class TestSinglePassEvaluate:
         episodes = synth_episodes(cfg, 4, 8)
         channels = {lv: episodes[0].levels[lv].channels for lv in episodes[0].levels}
         model = ScoreModel.init(channels[Level.L4], hidden=16, seed=4)
-        proj = FusionProjector.random(channels, 24, np.random.default_rng(4))
+        proj = random_projector(channels, 24, np.random.default_rng(4))
         return model, proj, episodes
 
     def test_one_full_loop_per_episode(self, monkeypatch):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
-from preselect.episodes import FusionProjector, SynthConfig, synth_episodes
+from preselect.episodes import SynthConfig, synth_episodes
 from preselect.pack_io import read_pack, read_tensor, write_pack, write_tensor
 from preselect.scorer import ScoreModel
 from preselect.tensor_ops import Level
+
+from helpers import random_projector, scores_batch
 
 
 def episodes_fixture(n=3, seed=0):
@@ -119,7 +121,7 @@ class TestCheckpoint:
         channels = {Level.L2: 4, Level.L3: 6, Level.L4: 8}
         model = ScoreModel.init(8, hidden=16, seed=seed)
         rng = np.random.default_rng(seed)
-        proj = FusionProjector.random(channels, 8, rng)
+        proj = random_projector(channels, 8, rng)
         return model, proj
 
     def test_round_trip(self, tmp_path):
@@ -157,7 +159,6 @@ class TestCheckpoint:
 
     def test_scores_survive_round_trip(self, tmp_path):
         """A reloaded model scores maps identically to the original."""
-        from preselect.scorer import scores_batch
         from preselect.tensor_ops import FeatureMap
 
         model, proj = self._state(seed=1)

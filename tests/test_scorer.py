@@ -18,6 +18,7 @@ from preselect.episodes import (
     synth_episodes,
 )
 from preselect.scorer import (
+    GRAD_CLIP,
     POSITIVE,
     DivergenceError,
     Phase,
@@ -33,10 +34,11 @@ from preselect.scorer import (
     query_confidence_vectors,
     query_scores,
     query_stats,
-    scores_batch,
     train,
 )
 from preselect.tensor_ops import FeatureMap, Level, block_mean
+
+from helpers import random_projector, scores_batch
 
 
 def fmap(arr, level=Level.L4):
@@ -439,10 +441,32 @@ class TestTrain:
     def test_divergence_raises(self):
         eps = small_episodes()
         model, proj = fresh_state(eps)
-        # Overflow warnings are the expected mechanism here.
+        # Overflow warnings are the expected mechanism here. A clipped step
+        # moves the scorer by at most lr, so the lr is past float32's range.
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             train(model, proj, eps,
-                  TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=1e30))
+                  TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=1e39))
+
+    def test_step_norm_clipped(self):
+        """One SGD step (one batch holds every pair) moves the scorer by
+        lr * GRAD_CLIP in L2 when the gradient is larger than GRAD_CLIP,
+        and by less when it is smaller (0.32 at this init)."""
+        eps = small_episodes()
+        lr = 0.5
+        cfg = TrainConfig(epochs=1, batch_size=1000, phase=Phase.TPF_ONLY, learning_rate=lr)
+        names = ("w1", "b1", "w2", "b2")
+        small, proj = fresh_state(eps)
+        large = small.copy()
+        large.w1 *= np.float32(10.0)
+        large.w2 *= np.float32(10.0)
+        moved = []
+        for model in (small, large):
+            out = train(model, proj, eps, cfg)[0]
+            moved.append(math.sqrt(sum(
+                float(np.sum((getattr(out, n).astype(np.float64) - getattr(model, n)) ** 2))
+                for n in names)))
+        assert 0.0 < moved[0] < 0.9 * lr * GRAD_CLIP
+        assert moved[1] == pytest.approx(lr * GRAD_CLIP, rel=1e-6)
 
     def test_rejects_empty_episodes(self):
         eps = small_episodes()
@@ -462,7 +486,9 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
     per-class correlate, each level block-averaged to the L4 grid and
     rounded to float32, a per-level projection loop, and a per-pair loop
     for the projection gradients. Pairs are sampled as train samples them
-    and ordered by episode, as train batches them.
+    and ordered by episode, as train batches them. Each scorer step is
+    clipped to a gradient of global L2 norm GRAD_CLIP, its squared norm
+    summed over the four arrays in float64.
 
     With round_levels unset, each level is block-averaged in float64 and
     then correlated, unrounded: the arithmetic of fuse_batch, still one
@@ -503,9 +529,13 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
             total += loss
             count += 1
             lr = cfg.learning_rate
-            for name in ("w1", "b1", "w2", "b2"):
+            names = ("w1", "b1", "w2", "b2")
+            flat = [getattr(grads, name).astype(np.float64).ravel() for name in names]
+            norm = math.sqrt(sum(float(np.dot(g, g)) for g in flat))
+            step = lr * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
+            for name in names:
                 setattr(model, name,
-                        (getattr(model, name) - lr * getattr(grads, name)).astype(np.float32))
+                        (getattr(model, name) - step * getattr(grads, name)).astype(np.float32))
             if joint:
                 for lv in FEATURE_LEVELS:
                     gw = np.zeros(proj.weights[lv].shape)
@@ -542,8 +572,8 @@ class TestTrainMatchesOracle:
         eps = synth_episodes(SynthConfig(num_classes=6, present_count=2, k=2), 21, 8)
         model, proj = fresh_state(eps, seed=2)
         rng = np.random.default_rng(22)
-        proj = FusionProjector.random({lv: eps[0].levels[lv].channels for lv in eps[0].levels},
-                                      proj.out_channels, rng)
+        proj = random_projector({lv: eps[0].levels[lv].channels for lv in eps[0].levels},
+                                len(proj.biases[Level.L4]), rng)
         return eps, model, proj
 
     def test_tpf_phase_bitwise(self):

@@ -27,6 +27,8 @@ from preselect.selector import (
 )
 from preselect.tensor_ops import FeatureMap, Level
 
+from helpers import random_projector
+
 
 def flood_fill_labels(mask):
     """4-connected component labels of one (H, W) mask by flood fill:
@@ -328,7 +330,7 @@ class TestRunInference:
         share its batch."""
         for seed in (3, 5, 8):
             model, proj, ep = self._setup(seed=seed)
-            proj = FusionProjector.random(
+            proj = random_projector(
                 {lv: ep.levels[lv].channels for lv in ep.levels}, 24,
                 np.random.default_rng(seed))
             full = run_inference(model, proj, ep, All())
