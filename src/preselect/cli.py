@@ -15,9 +15,10 @@ import sys
 from pathlib import Path
 
 from . import checkpoint, cost, pack_io
-from .episodes import FusionProjector, SynthConfig, synth_episodes
+from .episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
 from .metrics import evaluate
-from .scorer import DivergenceError, Phase, ScoreModel, TrainConfig, train
+from .scorer import (DivergenceError, Phase, ScoreModel, TrainConfig, query_scores,
+                     query_stats, train)
 from .selector import Adaptive, All, TopN, run_inference
 from .tensor_ops import Level
 
@@ -87,24 +88,24 @@ def cmd_train(args) -> int:
         for i, loss in enumerate(losses):
             print(f"phase {phase.value} epoch {i} loss {loss:.4f}")
 
-    acc = _train_accuracy(model, proj, episodes)
+    acc = _train_accuracy(model, episodes)
     print(f"train accuracy {acc:.4f}")
     checkpoint.save_checkpoint(args.output, model, proj)
     print(f"wrote checkpoint -> {args.output}")
     return EXIT_OK
 
 
-def _train_accuracy(model, proj, episodes) -> float:
-    """Present/absent accuracy of the 0.5-score decision on L4 maps."""
-    from .selector import score_all
-
+def _train_accuracy(model, episodes) -> float:
+    """Present/absent accuracy of the 0.5-score decision on L4 maps, with
+    run_inference's scores."""
     correct = total = 0
     for ep in episodes:
-        scores = score_all(model, ep)
-        for cid, s in scores.items():
-            total += 1
-            if (s >= 0.5) == (cid in ep.present_classes):
-                correct += 1
+        protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+        q4 = ep.levels[Level.L4].data
+        scores = query_scores(model, query_stats(q4), protos[:, -len(q4):])
+        correct += sum((s >= 0.5) == (cid in ep.present_classes)
+                       for cid, s in zip(ep.class_ids, scores.tolist()))
+        total += len(scores)
     return correct / max(total, 1)
 
 

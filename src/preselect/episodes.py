@@ -61,38 +61,40 @@ class ClassPrototype:
     vectors: dict[Level, np.ndarray]
 
 
-def prototype_matrices(
-    supports: list[list[dict[Level, FeatureMap]]],
-) -> dict[Level, np.ndarray]:
-    """Per level, the (N, C) float32 prototypes of N classes with k shots
-    each: spatially average each shot, then mean over the class's shots."""
+def prototype_matrices(supports: list[list[dict[Level, FeatureMap]]]) -> np.ndarray:
+    """The (N, sum of C_l) float32 prototypes of N classes with k shots
+    each: spatially average each shot, then mean over the class's shots.
+    The levels the shots carry are stacked along channels in FEATURE_LEVELS
+    order, as align_query stacks the query."""
     k = len(supports[0]) if supports else 0
     if k == 0 or any(len(shots) != k for shots in supports):
         raise ValueError("every class needs the same number of support shots, "
                          "at least one")
-    vectors: dict[Level, np.ndarray] = {}
-    for level in supports[0][0]:
+    blocks = []
+    for level in (lv for lv in FEATURE_LEVELS if lv in supports[0][0]):
         maps = [shot[level].data for shots in supports for shot in shots]
         shapes = {m.shape for m in maps}
         if len(shapes) != 1:
             raise ValueError(f"support shots disagree on shape at {level}: "
                              f"{sorted(shapes)}")
         x = np.concatenate(maps, dtype=np.float64).reshape(len(maps), *maps[0].shape)
-        # Per-shot means round to float32 and add up in shot order, as trained
-        # checkpoints depend on.
-        means = x.mean(axis=(2, 3)).astype(np.float32).reshape(len(supports), k, -1)
-        acc = np.zeros(means[:, 0].shape, dtype=np.float64)
-        for j in range(k):
-            acc += means[:, j]
-        vectors[level] = (acc / k).astype(np.float32)
-    return vectors
+        blocks.append(x.mean(axis=(2, 3)).astype(np.float32).reshape(len(supports), k, -1))
+    # Per-shot means round to float32 and add up in shot order, as trained
+    # checkpoints depend on.
+    means = np.concatenate(blocks, axis=2)
+    acc = np.zeros(means[:, 0].shape, dtype=np.float64)
+    for j in range(k):
+        acc += means[:, j]
+    return (acc / k).astype(np.float32)
 
 
 def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:
     """Spatially average each shot, then mean over shots, per level:
-    prototype_matrices for one class."""
-    vectors = prototype_matrices([shots])
-    return ClassPrototype(class_id, {lv: m[0] for lv, m in vectors.items()})
+    prototype_matrices for one class, split back into its levels."""
+    row = prototype_matrices([shots])[0]
+    levels = [lv for lv in FEATURE_LEVELS if lv in shots[0]]
+    bounds = np.cumsum([shots[0][lv].channels for lv in levels])[:-1]
+    return ClassPrototype(class_id, dict(zip(levels, np.split(row, bounds))))
 
 
 def correlate(query: FeatureMap, proto: np.ndarray) -> FeatureMap:
@@ -141,8 +143,9 @@ def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> Feature
 
     Returns a FUSED map with proj's output channels on the L4 grid.
     """
-    ones = {lv: np.ones((1, maps[lv].channels), np.float32) for lv in FEATURE_LEVELS}
-    return FeatureMap(fuse_batch(align_query(maps), ones, proj)[0], Level.FUSED)
+    aligned = align_query(maps)
+    ones = np.ones((1, len(aligned)), np.float32)
+    return FeatureMap(fuse_batch(aligned, ones, proj)[0], Level.FUSED)
 
 
 def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
@@ -152,11 +155,12 @@ def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
     return np.concatenate([block_mean(levels[lv].data, h, w) for lv in FEATURE_LEVELS])
 
 
-def fuse_batch(aligned: np.ndarray, protos: dict[Level, np.ndarray],
+def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
                proj: FusionProjector) -> np.ndarray:
     """fuse_levels of the correlated levels of N classes at once.
 
-    aligned is align_query's output; protos[level] is (N, C_l). Correlation
+    aligned is align_query's output; protos is prototype_matrices' (N,
+    sum of C_l), in the same channel order. Correlation
     commutes with the block average and the projection, so
     fused_n = mean_l W_l diag(p_nl) X_l + b_l: one float64 contraction over
     all levels' channels, with the biases as one more channel whose input
@@ -165,13 +169,12 @@ def fuse_batch(aligned: np.ndarray, protos: dict[Level, np.ndarray],
     class's map does not depend on which other classes share the batch.
     """
     c, h, w = aligned.shape
-    n = len(protos[Level.L4])
+    n = len(protos)
     x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
     bias = sum(proj.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
     weights = np.concatenate([proj.weights[lv] for lv in FEATURE_LEVELS]
                              + [bias[:, None]], axis=1)
-    scales = np.concatenate([protos[lv] for lv in FEATURE_LEVELS]
-                            + [np.ones((n, 1), np.float32)], axis=1)
+    scales = np.concatenate([protos, np.ones((n, 1), np.float32)], axis=1)
     scales = scales / np.float64(len(FEATURE_LEVELS))
     with np.errstate(over="ignore"):
         fused = np.matmul(weights * scales[:, None, :], x).astype(np.float32)

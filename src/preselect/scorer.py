@@ -12,6 +12,7 @@ one query from that query's statistics, without forming the maps
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -274,23 +275,21 @@ def loss_and_grads(
         raise ValueError("batch must be nonempty")
     maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
     labels = np.array([label for _, label in batch])
-    return _batch_loss_and_grads(model, maps, labels, want_input_grads)
+    loss, grads, dv = _vector_loss(model, confidence_vectors_batch(maps, model.eps), labels)
+    input_grads = confidence_backward_batch(maps, dv, model.eps) if want_input_grads else None
+    return loss, grads, input_grads
 
 
-def _batch_loss_and_grads(
-    model: ScoreModel,
-    maps: np.ndarray,
-    labels: np.ndarray,
-    want_input_grads: bool,
-) -> tuple[float, Gradients, np.ndarray | None]:
-    """loss_and_grads of stacked (N, C, H, W) maps and their N labels."""
-    n = len(maps)
-    v_all = confidence_vectors_batch(maps, model.eps)
-
-    hid, logits = _mlp(model, v_all)      # (n, hidden), (n, 2)
+def _vector_loss(model: ScoreModel, v: np.ndarray,
+                 labels: np.ndarray) -> tuple[float, Gradients, np.ndarray]:
+    """(loss, scorer gradients, dLoss/dv) of the mean cross-entropy over
+    (N, 2C) float64 confidence vectors and their N labels. A pair whose
+    picked probability underflows to 0 gives an infinite loss."""
+    n = len(v)
+    hid, logits = _mlp(model, v)      # (n, hidden), (n, 2)
     p = _softmax(logits)
-    picked = np.maximum(p[np.arange(n), labels], 1e-300)
-    loss = float(-np.log(picked).mean())
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(p[np.arange(n), labels]).mean())
 
     dlogits = p.copy()
     dlogits[np.arange(n), labels] -= 1.0
@@ -299,19 +298,15 @@ def _batch_loss_and_grads(
     gb2 = dlogits.sum(axis=0)
     dhid = dlogits @ model.w2.astype(np.float64)
     dpre = dhid * (hid > 0)
-    gw1 = dpre.T @ v_all
+    gw1 = dpre.T @ v
     gb1 = dpre.sum(axis=0)
-
-    input_grads = None
-    if want_input_grads:
-        dv = dpre @ model.w1.astype(np.float64)   # (n, 2C)
-        input_grads = confidence_backward_batch(maps, dv, model.eps)
+    dv = dpre @ model.w1.astype(np.float64)
 
     grads = Gradients(
         gw1.astype(np.float32), gb1.astype(np.float32),
         gw2.astype(np.float32), gb2.astype(np.float32),
     )
-    return loss, grads, input_grads
+    return loss, grads, dv
 
 
 def _clip_scale(grads: Gradients) -> float:
@@ -367,19 +362,16 @@ def _sample_pairs(episodes: list[Episode], ratio: int,
     return pairs
 
 
-def _prototype_rows(ep: Episode, ei: int, class_ids: list[int],
-                    cache: dict[tuple[int, int], dict[Level, np.ndarray]]
-                    ) -> dict[Level, np.ndarray]:
-    """Per level, the (N, C_l) prototypes of class_ids in episode ei.
-    Prototypes never change during training, so each (episode, class) is
+def _cached_rows(cache: dict[tuple[int, int], np.ndarray], ei: int, class_ids: list[int],
+                 build) -> np.ndarray:
+    """The rows cache[ei, cid] of class_ids in episode ei, stacked.
+    build(cids) returns the rows of the pairs not cached yet, in one array.
+    These inputs never change during a phase, so each (episode, class) is
     built once, when it is first sampled."""
     missing = [cid for cid in class_ids if (ei, cid) not in cache]
     if missing:
-        built = prototype_matrices([ep.supports[cid] for cid in missing])
-        for i, cid in enumerate(missing):
-            cache[ei, cid] = {lv: m[i] for lv, m in built.items()}
-    return {lv: np.stack([cache[ei, cid][lv] for cid in class_ids])
-            for lv in FEATURE_LEVELS}
+        cache.update(((ei, cid), row) for cid, row in zip(missing, build(missing)))
+    return np.stack([cache[ei, cid] for cid in class_ids])
 
 
 def train(
@@ -393,8 +385,9 @@ def train(
 
     JOINT updates both the scorer and the fusion projections (loss fed
     by fused maps, fuse_batch); TPF_ONLY freezes the projections and
-    trains the scorer on L4 correlation maps. Returns (model, projections,
-    per-epoch mean losses); inputs are not mutated.
+    trains the scorer on the confidence vectors of L4 correlation maps,
+    each built once. Returns (model, projections, per-epoch mean losses);
+    inputs are not mutated.
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
@@ -402,9 +395,17 @@ def train(
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
-    protos: dict[tuple[int, int], dict[Level, np.ndarray]] = {}
+    # Prototype rows in JOINT, confidence vectors in TPF_ONLY.
+    cache: dict[tuple[int, int], np.ndarray] = {}
     aligned: dict[int, np.ndarray] = {}
     losses: list[float] = []
+
+    def build(ep: Episode, cids: list[int]) -> np.ndarray:
+        protos = prototype_matrices([ep.supports[cid] for cid in cids])
+        if joint:
+            return protos
+        q4 = ep.levels[Level.L4].data
+        return confidence_vectors_batch(protos[:, -len(q4):, None, None] * q4, model.eps)
 
     for _ in range(cfg.epochs):
         pairs = _sample_pairs(episodes, cfg.negative_ratio, rng)
@@ -412,29 +413,26 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(pairs), cfg.batch_size):
-            chunk = pairs[start : start + cfg.batch_size]
-            # Group by episode so each episode's classes are correlated
-            # or fused in one array operation.
-            by_ep: dict[int, list[tuple[int, int]]] = {}
-            for ei, cid, label in chunk:
-                by_ep.setdefault(ei, []).append((cid, label))
-
-            maps, labels = [], []
-            groups: list[tuple[np.ndarray, dict[Level, np.ndarray]]] = []
-            for ei, entries in sorted(by_ep.items()):
+            # Episode order, so each episode's new classes are built, and
+            # its classes fused, in one array operation.
+            chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
+            labels = np.array([label for _, _, label in chunk])
+            groups = []
+            for ei, grp in itertools.groupby(chunk, key=lambda p: p[0]):
                 ep = episodes[ei]
-                rows = _prototype_rows(ep, ei, [cid for cid, _ in entries], protos)
-                if joint:
-                    if ei not in aligned:
-                        aligned[ei] = align_query(ep.levels)
-                    maps.append(fuse_batch(aligned[ei], rows, proj))
-                    groups.append((aligned[ei], rows))
-                else:
-                    maps.append(rows[Level.L4][:, :, None, None] * ep.levels[Level.L4].data)
-                labels += [label for _, label in entries]
+                rows = _cached_rows(cache, ei, [cid for _, cid, _ in grp],
+                                    lambda missing: build(ep, missing))
+                if joint and ei not in aligned:
+                    aligned[ei] = align_query(ep.levels)
+                groups.append((ei, rows))
+            if joint:
+                maps = np.concatenate([fuse_batch(aligned[ei], rows, proj)
+                                       for ei, rows in groups])
+                v = confidence_vectors_batch(maps, model.eps)
+            else:
+                v = np.concatenate([rows for _, rows in groups])
 
-            loss, grads, input_grads = _batch_loss_and_grads(
-                model, np.concatenate(maps), np.array(labels), joint)
+            loss, grads, dv = _vector_loss(model, v, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
@@ -448,14 +446,15 @@ def train(
             model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
 
             if joint:
-                _apply_fusion_grads(proj, groups, input_grads, lr)
+                _apply_fusion_grads(proj, [(aligned[ei], rows) for ei, rows in groups],
+                                    confidence_backward_batch(maps, dv, model.eps), lr)
         losses.append(epoch_loss / max(n_batches, 1))
     return model, proj, losses
 
 
 def _apply_fusion_grads(
     proj: FusionProjector,
-    groups: list[tuple[np.ndarray, dict[Level, np.ndarray]]],
+    groups: list[tuple[np.ndarray, np.ndarray]],
     input_grads: np.ndarray,
     lr: float,
 ) -> None:
@@ -464,18 +463,15 @@ def _apply_fusion_grads(
     groups holds, in batch order, each episode's aligned query X and the
     prototype rows that fuse_batch fused it with. fuse_batch gives
     fused_n = mean_l W_l diag(p_nl) X_l + b_l, so over the stacked level
-    channels gW = sum_n ((G_n / L) @ X^T) * s_n, with s_n the class's
-    prototype entries: one contraction over the whole batch of the
-    gradients with the correlated inputs s_n X. Every level's bias
-    gradient is sum_n G_n 1 / L.
+    channels gW = sum_n ((G_n / L) @ X^T) * p_n, with p_n the class's
+    prototype row: one contraction over the whole batch of the gradients
+    with the correlated inputs p_n X. Every level's bias gradient is
+    sum_n G_n 1 / L.
     """
     n, out = input_grads.shape[:2]
     g = input_grads.reshape(n, out, -1) / len(FEATURE_LEVELS)
-    x = np.concatenate([
-        np.concatenate([rows[lv] for lv in FEATURE_LEVELS], axis=1)[:, :, None]
-        * aligned.reshape(len(aligned), -1)
-        for aligned, rows in groups
-    ])
+    x = np.concatenate([rows[:, :, None] * aligned.reshape(len(aligned), -1)
+                        for aligned, rows in groups])
     gw = np.tensordot(g, x, axes=([0, 2], [0, 2]))
     gb = g.sum(axis=(0, 2))
     start = 0

@@ -49,27 +49,6 @@ class Detection:
     confidence: float
 
 
-def _prototypes(episode: Episode) -> dict[Level, np.ndarray]:
-    """Per level, the (N, C) prototypes of episode.class_ids in order."""
-    return prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
-
-
-def _scores(model: ScoreModel, episode: Episode, stats: np.ndarray,
-            protos: dict[Level, np.ndarray]) -> dict[int, float]:
-    values = query_scores(model, stats, protos[Level.L4])
-    return dict(zip(episode.class_ids, values.tolist()))
-
-
-def score_all(model: ScoreModel, episode: Episode) -> dict[int, float]:
-    """Score each candidate class on its deepest-level correlation map.
-
-    Independent of fusion: only L4 query features and support prototypes
-    are touched.
-    """
-    stats = query_stats(episode.levels[Level.L4].data)
-    return _scores(model, episode, stats, _prototypes(episode))
-
-
 def select(scores: dict[int, float], strategy: SelectionStrategy) -> list[int]:
     """Pick the minor-loop class set, sorted by score descending.
 
@@ -179,10 +158,11 @@ def run_inference(
     counts the classes that went through fusion+detect (len(selected)).
     """
     t0 = time.perf_counter()
-    protos = _prototypes(episode)
+    protos = prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
     t1 = time.perf_counter()
-    stats = query_stats(episode.levels[Level.L4].data)
-    scores = _scores(model, episode, stats, protos)
+    q4 = episode.levels[Level.L4].data
+    values = query_scores(model, query_stats(q4), protos[:, -len(q4):])
+    scores = dict(zip(episode.class_ids, values.tolist()))
     t2 = time.perf_counter()
 
     selected = select(scores, strategy)
@@ -193,7 +173,7 @@ def run_inference(
     t3 = time.perf_counter()
     aligned = align_query(episode.levels)
     t4 = time.perf_counter()
-    fused = fuse_batch(aligned, {lv: m[rows] for lv, m in protos.items()}, proj)
+    fused = fuse_batch(aligned, protos[rows], proj)
     t5 = time.perf_counter()
     found = detect_batch(fused, peak_threshold, selected)
     t6 = time.perf_counter()

@@ -65,13 +65,17 @@ class TestTrain:
         assert code == EXIT_VALIDATION
 
     def test_divergence_is_numerical_error(self, tmp_path, pack):
-        # A clipped step moves the scorer by at most lr, so only an lr past
-        # float32's range (one step overflows the weights) diverges.
-        with np.errstate(all="ignore"):
-            code = main(["train", "--phases", "tpf", "--epochs", "5",
-                         "--lr", "1e39", "--hidden", "16",
-                         "--pack", str(pack), "-o", str(tmp_path / "m.ckpt")])
-        assert code == EXIT_NUMERICAL
+        # A clipped step moves the scorer by at most lr. At 1e30 the logits
+        # grow until a picked probability underflows to 0 (an infinite
+        # loss); at 1e39 one step overflows the float32 weights.
+        for lr in ("1e30", "1e39"):
+            out = tmp_path / f"m{lr}.ckpt"
+            with np.errstate(all="ignore"):
+                code = main(["train", "--phases", "tpf", "--epochs", "5",
+                             "--lr", lr, "--hidden", "16",
+                             "--pack", str(pack), "-o", str(out)])
+            assert code == EXIT_NUMERICAL
+            assert not out.exists()
 
 
 class TestEval:

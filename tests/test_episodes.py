@@ -6,6 +6,7 @@ import pytest
 
 from preselect.episodes import (
     CHANNELS,
+    FEATURE_LEVELS,
     Episode,
     FusionProjector,
     SynthConfig,
@@ -83,20 +84,36 @@ class TestPrototypeMatrices:
     def test_bitwise_equal_to_per_shot_loop(self, classes, k, seed):
         ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
         mats = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
-        for lv, mat in mats.items():
-            assert mat.dtype == np.float32 and mat.shape == (classes, ep.levels[lv].channels)
+        assert mats.dtype == np.float32 and mats.shape == (classes, sum(CHANNELS.values()))
+        start = 0
+        for lv in FEATURE_LEVELS:
+            mat = mats[:, start : start + ep.levels[lv].channels]
+            start += ep.levels[lv].channels
+            assert mat.shape == (classes, ep.levels[lv].channels)
             for i, cid in enumerate(ep.class_ids):
                 want = loop_prototype(ep.supports[cid], lv)
                 assert mat[i].tobytes() == want.tobytes()
                 assert build_prototype(cid, ep.supports[cid]).vectors[lv].tobytes() == \
                     want.tobytes()
 
+    @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (5, 2, 3)])
+    def test_rows_are_per_level_loop_in_align_query_order(self, classes, k, seed):
+        """Each row is, bitwise, the per-level per-shot loop prototypes
+        concatenated in the order align_query stacks the query channels."""
+        ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
+        mats = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+        order = (Level.L2, Level.L3, Level.L4)  # align_query's, see test_align_query_is_block_mean
+        assert len(align_query(ep.levels)) == mats.shape[1]
+        for i, cid in enumerate(ep.class_ids):
+            want = np.concatenate([loop_prototype(ep.supports[cid], lv) for lv in order])
+            assert mats[i].tobytes() == want.tobytes()
+
     def test_odd_grids_and_negative_zero(self):
         rng = np.random.default_rng(10)
         shots = [[make_shot(rng, 5, hw=(3, 5)) for _ in range(2)] for _ in range(4)]
         shots[2][0][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
         shots[2][1][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
-        mat = prototype_matrices(shots)[Level.L4]
+        mat = prototype_matrices(shots)
         for i, cls in enumerate(shots):
             assert mat[i].tobytes() == loop_prototype(cls, Level.L4).tobytes()
 
@@ -228,8 +245,9 @@ class TestFuseLevels:
                 got = fuse_batch(align_query(ep.levels), protos, proj)
                 assert got.dtype == np.float32
                 assert got.shape == (9, out, 8, 8)
-                for i in range(9):
-                    per_level = {lv: correlate(ep.levels[lv], protos[lv][i])
+                for i, cid in enumerate(ep.class_ids):
+                    proto = build_prototype(cid, ep.supports[cid])
+                    per_level = {lv: correlate(ep.levels[lv], proto.vectors[lv])
                                  for lv in ep.levels}
                     want = oracle_fuse(per_level, proj)
                     err = np.abs(got[i] - want).max() / np.abs(want).max()

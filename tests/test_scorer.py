@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from preselect import scorer
 from preselect.episodes import (
     FEATURE_LEVELS,
     FusionProjector,
@@ -209,7 +210,7 @@ class TestFactoredScoring:
         for seed, ep in enumerate(synth_episodes(cfg, 16, 6)):
             model = ScoreModel.init(64, hidden=64, seed=seed)
             q4 = ep.levels[Level.L4].data
-            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])[Level.L4]
+            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])[:, -len(q4):]
             want = scores_batch(model, q4[None] * protos[:, :, None, None])
             got = query_scores(model, query_stats(q4), protos)
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
@@ -441,11 +442,35 @@ class TestTrain:
     def test_divergence_raises(self):
         eps = small_episodes()
         model, proj = fresh_state(eps)
-        # Overflow warnings are the expected mechanism here. A clipped step
-        # moves the scorer by at most lr, so the lr is past float32's range.
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-            train(model, proj, eps,
-                  TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=1e39))
+        # A clipped step moves the scorer by at most lr. At 1e30 a picked
+        # probability underflows to 0 (an infinite loss); at 1e39 one step
+        # overflows the float32 weights, whose warnings are expected.
+        for lr in (1e30, 1e39):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+                train(model, proj, eps,
+                      TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=lr))
+
+    def test_tpf_builds_each_vector_once(self, monkeypatch):
+        """Over 3 TPF epochs, confidence_vectors_batch sees one row per
+        distinct sampled (episode, class) pair."""
+        eps = small_episodes()
+        model, proj = fresh_state(eps)
+        sampled, built = [], []
+
+        def sample(*args):
+            pairs = _sample_pairs(*args)
+            sampled.extend((ei, cid) for ei, cid, _ in pairs)
+            return pairs
+
+        def vectors(maps, eps):
+            built.append(len(maps))
+            return confidence_vectors_batch(maps, eps)
+
+        monkeypatch.setattr(scorer, "_sample_pairs", sample)
+        monkeypatch.setattr(scorer, "confidence_vectors_batch", vectors)
+        train(model, proj, eps, TrainConfig(epochs=3, batch_size=5, phase=Phase.TPF_ONLY))
+        # Positives recur in every epoch, so a per-sample build counts more.
+        assert sum(built) == len(set(sampled)) < len(sampled)
 
     def test_step_norm_clipped(self):
         """One SGD step (one batch holds every pair) moves the scorer by

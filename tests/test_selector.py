@@ -22,7 +22,6 @@ from preselect.selector import (
     detect_batch,
     label4,
     run_inference,
-    score_all,
     select,
 )
 from preselect.tensor_ops import FeatureMap, Level
@@ -345,14 +344,8 @@ class TestRunInference:
                     want = full.detections[cid] if cid in minor.selected else []
                     assert minor.detections[cid] == want
                 rows = [ep.class_ids.index(cid) for cid in minor.selected]
-                fused_minor = fuse_batch(aligned, {lv: m[rows] for lv, m in protos.items()},
-                                         proj)
+                fused_minor = fuse_batch(aligned, protos[rows], proj)
                 assert fused_minor.tobytes() == full_fused[rows].tobytes()
-
-    def test_score_all_matches_inference_scores(self):
-        model, proj, ep = self._setup(seed=4)
-        res = run_inference(model, proj, ep, All())
-        assert score_all(model, ep) == res.scores
 
     def test_timings_present_and_nonnegative(self):
         model, proj, ep = self._setup()

@@ -10,7 +10,7 @@ on random inputs, written independently of the vectorized code.
 import numpy as np
 import pytest
 
-from preselect.episodes import build_prototype
+from preselect.episodes import prototype_matrices
 from preselect.scorer import _softmax, confidence_vectors_batch
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
@@ -24,8 +24,8 @@ def random_map(rng, c, h, w, level=Level.L4):
 
 
 def spatial_average(m):
-    """Per-channel spatial mean, as build_prototype takes it of one shot."""
-    return build_prototype(0, [{m.level: m}]).vectors[m.level]
+    """Per-channel spatial mean, as prototype_matrices takes it of one shot."""
+    return prototype_matrices([[{m.level: m}]])[0]
 
 
 def max_pool_average(data):
