@@ -173,33 +173,45 @@ def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
     """
     x = np.asarray(maps).astype(np.float64)
     n, ch, h, w = x.shape
-    g = np.asarray(grad_v, dtype=np.float64)[:, :, None, None]
-    grad_local, grad_global = g[:, :ch], g[:, ch:]
-
-    # Local branch: a one-hot mask of each window's first argmax, with the
-    # window's cells in (dy, dx) row-major order.
-    ph, pw = h // 2, w // 2
-    win = x[:, :, : ph * 2, : pw * 2].reshape(n, ch, ph, 2, pw, 2)
-    first = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, ch, ph, pw, 4).argmax(axis=4)
-    mask = (first[..., None] == np.arange(4)).reshape(n, ch, ph, pw, 2, 2)
+    g = np.asarray(grad_v, dtype=np.float64)
     grad_x = np.zeros_like(x)
-    grad_x[:, :, : ph * 2, : pw * 2] = np.where(
-        mask.transpose(0, 1, 2, 4, 3, 5), grad_local[..., None, None] / (ph * pw), 0.0
-    ).reshape(n, ch, ph * 2, pw * 2)
 
-    # Global branch: avg(relu(standardize)).
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    sd = x.std(axis=(2, 3), keepdims=True)
+    # Local branch: a window's first argmax is the first of its cells, in
+    # (dy, dx) row-major order, that is >= every later one. copyto leaves
+    # the other cells at +0.0, where a multiply by a mask would give -0.0.
+    ph, pw = h // 2, w // 2
+    cells = [(slice(dy, ph * 2, 2), slice(dx, pw * 2, 2)) for dy in (0, 1) for dx in (0, 1)]
+    win = [x[:, :, dy, dx] for dy, dx in cells]
+    share = (g[:, :ch] / (ph * pw))[:, :, None, None]
+    free = np.ones(win[0].shape, dtype=bool)
+    for i, (dy, dx) in enumerate(cells):
+        take = free.copy()
+        for later in win[i + 1 :]:
+            take &= win[i] >= later
+        np.copyto(grad_x[:, :, dy, dx], share, where=take)
+        free &= ~take
+
+    # Global branch: avg(relu(standardize)), in place on (n * C, H * W)
+    # rows; each step is the float64 operation of the expression it stands for.
+    rows = x.reshape(n * ch, h * w)
+    mu = rows.mean(axis=1, keepdims=True)
+    sd = rows.std(axis=1, keepdims=True)
     s = sd + eps
-    d = x - mu
-    z = d / s
-    u = (grad_global / (h * w)) * (z > 0)  # dL/dz
-    u_mean = u.mean(axis=(2, 3), keepdims=True)
-    ud_mean = (u * d).mean(axis=(2, 3), keepdims=True)
+    d = np.subtract(rows, mu, out=rows)
+    u = d / s  # z
+    np.multiply((g[:, ch:] / (h * w)).reshape(-1, 1), u > 0, out=u)  # dL/dz
+    u_mean = u.mean(axis=1, keepdims=True)
+    ud = u * d
+    ud_mean = ud.mean(axis=1, keepdims=True)
     # d sd / dx_q = d_q / (h * w * sd); zero-variance channels contribute
     # nothing (z == 0 there, so u == 0 as well).
     sd_safe = np.where(sd > 0, sd, 1.0)
-    grad_x += (u - u_mean) / s - d * ud_mean / (sd_safe * s * s)
+    u -= u_mean
+    u /= s  # (u - u_mean) / s
+    np.multiply(d, ud_mean, out=ud)
+    ud /= sd_safe * s * s  # d * ud_mean / (sd_safe * s * s)
+    u -= ud
+    grad_x += u.reshape(x.shape)
     return grad_x
 
 
@@ -275,15 +287,19 @@ def loss_and_grads(
         raise ValueError("batch must be nonempty")
     maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
     labels = np.array([label for _, label in batch])
-    loss, grads, dv = _vector_loss(model, confidence_vectors_batch(maps, model.eps), labels)
-    input_grads = confidence_backward_batch(maps, dv, model.eps) if want_input_grads else None
+    loss, grads, dpre = _vector_loss(model, confidence_vectors_batch(maps, model.eps), labels)
+    input_grads = None
+    if want_input_grads:
+        dv = dpre @ model.w1.astype(np.float64)
+        input_grads = confidence_backward_batch(maps, dv, model.eps)
     return loss, grads, input_grads
 
 
 def _vector_loss(model: ScoreModel, v: np.ndarray,
                  labels: np.ndarray) -> tuple[float, Gradients, np.ndarray]:
-    """(loss, scorer gradients, dLoss/dv) of the mean cross-entropy over
-    (N, 2C) float64 confidence vectors and their N labels. A pair whose
+    """(loss, scorer gradients, dLoss/d(w1 v + b1)) of the mean
+    cross-entropy over (N, 2C) float64 confidence vectors and their N
+    labels; dLoss/dv is that last (N, hidden) array @ w1. A pair whose
     picked probability underflows to 0 gives an infinite loss."""
     n = len(v)
     hid, logits = _mlp(model, v)      # (n, hidden), (n, 2)
@@ -300,13 +316,12 @@ def _vector_loss(model: ScoreModel, v: np.ndarray,
     dpre = dhid * (hid > 0)
     gw1 = dpre.T @ v
     gb1 = dpre.sum(axis=0)
-    dv = dpre @ model.w1.astype(np.float64)
 
     grads = Gradients(
         gw1.astype(np.float32), gb1.astype(np.float32),
         gw2.astype(np.float32), gb2.astype(np.float32),
     )
-    return loss, grads, dv
+    return loss, grads, dpre
 
 
 def _clip_scale(grads: Gradients) -> float:
@@ -432,7 +447,7 @@ def train(
             else:
                 v = np.concatenate([rows for _, rows in groups])
 
-            loss, grads, dv = _vector_loss(model, v, labels)
+            loss, grads, dpre = _vector_loss(model, v, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
@@ -440,12 +455,14 @@ def train(
 
             lr = cfg.learning_rate
             step = lr * _clip_scale(grads)
+            w1 = model.w1  # dLoss/dv is taken at the weights before the step
             model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
             model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
             model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
             model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
 
             if joint:
+                dv = dpre @ w1.astype(np.float64)
                 _apply_fusion_grads(proj, [(aligned[ei], rows) for ei, rows in groups],
                                     confidence_backward_batch(maps, dv, model.eps), lr)
         losses.append(epoch_loss / max(n_batches, 1))

@@ -30,7 +30,7 @@ class FeatureMap:
             raise ValueError(f"feature map must be rank 3, got {self.data.ndim}")
         if self.data.dtype != np.float32:
             object.__setattr__(self, "data", self.data.astype(np.float32))
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise ValueError("feature map contains non-finite entries")
 
     @property

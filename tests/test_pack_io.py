@@ -1,15 +1,18 @@
 """Round-trip and wire-format tests for episode packs and model
 checkpoints."""
 
-import io
+import hashlib
+import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
+from preselect.cli import EXIT_OK, main
 from preselect.episodes import SynthConfig, synth_episodes
-from preselect.pack_io import read_pack, read_tensor, write_pack, write_tensor
+from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import ScoreModel
 from preselect.tensor_ops import Level
 
@@ -21,38 +24,86 @@ def episodes_fixture(n=3, seed=0):
     return cfg, synth_episodes(cfg, seed, n)
 
 
-class TestTensorWire:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        buf = io.BytesIO()
-        write_tensor(buf, arr)
-        buf.seek(0)
-        np.testing.assert_array_equal(read_tensor(buf, (3, 4, 5)), arr)
+def assert_same_episodes(loaded, episodes):
+    """Labels and every map equal (==), in pack order."""
+    assert len(loaded) == len(episodes)
+    for a, b in zip(loaded, episodes):
+        assert (a.query_id, a.present_classes, a.gt_boxes) == \
+            (b.query_id, b.present_classes, b.gt_boxes)
+        assert list(a.levels) == list(b.levels)
+        for lv in a.levels:
+            assert a.levels[lv].data.shape == b.levels[lv].data.shape
+            assert (a.levels[lv].data == b.levels[lv].data).all()
+        assert a.class_ids == b.class_ids
+        for cid in a.class_ids:
+            assert len(a.supports[cid]) == len(b.supports[cid])
+            for s1, s2 in zip(a.supports[cid], b.supports[cid]):
+                assert list(s1) == list(s2)
+                for lv in s1:
+                    assert s1[lv].data.shape == s2[lv].data.shape
+                    assert (s1[lv].data == s2[lv].data).all()
 
-    def test_layout_is_rank_dims_data(self):
-        arr = np.float32([[1.5, -2.0]])
-        buf = io.BytesIO()
-        write_tensor(buf, arr)
-        raw = buf.getvalue()
-        assert struct.unpack("<I", raw[:4]) == (2,)
-        assert struct.unpack("<II", raw[4:12]) == (1, 2)
-        assert struct.unpack("<2f", raw[12:]) == (1.5, -2.0)
 
-    def test_rank1(self):
-        buf = io.BytesIO()
-        write_tensor(buf, np.float32([7.0]))
-        buf.seek(0)
-        np.testing.assert_array_equal(read_tensor(buf, (1,)), [7.0])
+def map_offsets(raw: bytes) -> list[int]:
+    """The byte offset of every map header of a pack, in file order,
+    walked one map at a time from the manifest."""
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    man = json.loads(raw[8 : 8 + mlen])
+    levels = [man["levels"][lv] for lv in ("L2", "L3", "L4")]
+    query = [16 + 4 * meta["channels"] * math.prod(meta["query_grid"]) for meta in levels]
+    shot = [16 + 4 * meta["channels"] * math.prod(meta["support_grid"]) for meta in levels]
+    sizes = (query + shot * (man["num_classes"] * man["k"])) * len(man["episodes"])
+    return list(8 + mlen + np.cumsum([0] + sizes[:-1]))
 
-    @pytest.mark.parametrize("shape", [(3, 4, 6), (4, 5), (3, 4, 5, 1)])
-    def test_header_checked_before_data(self, shape):
-        buf = io.BytesIO()
-        write_tensor(buf, np.zeros((3, 4, 5), np.float32))
-        buf.seek(0)
-        with pytest.raises(ValueError, match="rank/dims"):
-            read_tensor(buf, shape)
-        assert buf.tell() <= 4 * (len(shape) + 1)
+
+class TestPackWire:
+    """The EPK1 bytes map by map, and the byte offsets the reader names."""
+
+    @pytest.fixture
+    def pack(self, tmp_path):
+        cfg, eps = episodes_fixture()
+        path = tmp_path / "pack.epk"
+        write_pack(path, eps, cfg)
+        return path
+
+    def test_layout_is_rank_dims_data(self, pack):
+        raw = pack.read_bytes()
+        at = map_offsets(raw)
+        q = read_pack(pack)[0].levels[Level.L2].data
+        assert struct.unpack("<4I", raw[at[0] : at[0] + 16]) == (3, *q.shape)
+        assert raw[at[0] + 16 : at[1]] == q.astype("<f4").tobytes()
+        assert at[-1] + 16 + 4 * 64 * 2 * 2 == len(raw)  # the last shot's L4 map
+
+    @pytest.mark.parametrize("which", ["first_query", "middle_support", "last_record"])
+    @pytest.mark.parametrize("word", range(4))
+    def test_flipped_header_names_map_offset(self, pack, which, word):
+        """A changed header word fails with the byte offset of its map: the
+        first map, the L3 map of class 2's second shot in episode 1, and
+        the last map of the last episode."""
+        raw = pack.read_bytes()
+        at = map_offsets(raw)
+        per_episode = len(at) // 3
+        offset = {"first_query": at[0],
+                  "middle_support": at[per_episode + 3 + 3 * (2 * 2 + 1) + 1],
+                  "last_record": at[-1]}[which]
+        bad = bytearray(raw)
+        bad[offset + 4 * word] ^= 0x02
+        pack.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match=f"tensor at byte {offset} has rank/dims"):
+            read_pack(pack)
+
+    def test_cut_inside_episode_block(self, pack):
+        raw = pack.read_bytes()
+        at = map_offsets(raw)
+        pack.write_bytes(raw[: at[len(at) // 2] + 20])
+        with pytest.raises(ValueError, match="truncated"):
+            read_pack(pack)
+
+    def test_one_trailing_byte(self, pack):
+        raw = pack.read_bytes()
+        pack.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=f"trailing bytes at byte {len(raw)}"):
+            read_pack(pack)
 
 
 class TestEpisodePack:
@@ -60,18 +111,39 @@ class TestEpisodePack:
         cfg, eps = episodes_fixture()
         path = tmp_path / "pack.epk"
         write_pack(path, eps, cfg)
+        assert_same_episodes(read_pack(path), eps)
+
+    def test_many_classes_round_trip(self, tmp_path):
+        """100 classes of 5 shots, as the many_classes benchmark reads; the
+        rewritten pack has the same bytes."""
+        cfg = SynthConfig(num_classes=100, present_count=3, k=5)
+        eps = synth_episodes(cfg, 6, 2)
+        path, again = tmp_path / "pack.epk", tmp_path / "again.epk"
+        write_pack(path, eps, cfg)
         loaded = read_pack(path)
-        assert len(loaded) == len(eps)
-        for a, b in zip(eps, loaded):
-            assert a.query_id == b.query_id
-            assert a.present_classes == b.present_classes
-            assert a.gt_boxes == b.gt_boxes
-            for lv in a.levels:
-                np.testing.assert_array_equal(a.levels[lv].data, b.levels[lv].data)
-            for cid in a.supports:
-                for s1, s2 in zip(a.supports[cid], b.supports[cid]):
-                    for lv in s1:
-                        np.testing.assert_array_equal(s1[lv].data, s2[lv].data)
+        assert_same_episodes(loaded, eps)
+        write_pack(again, loaded, cfg)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        """Acceptance criterion 8's gen pack keeps its sha256."""
+        path = tmp_path / "pack.epk"
+        assert main(["gen", "--classes", "8", "--present", "2", "--episodes", "8",
+                     "--shots", "2", "--seed", "3", "-o", str(path)]) == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "968ff57c1178a737d0f33e935f746c11a11632830b64b19e0504229fa3154d24"
+
+    def test_support_maps_share_one_array_per_level(self, tmp_path):
+        cfg, eps = episodes_fixture(n=1)
+        path = tmp_path / "pack.epk"
+        write_pack(path, eps, cfg)
+        ep = read_pack(path)[0]
+        for lv in (Level.L2, Level.L3, Level.L4):
+            bases = {id(shot[lv].data.base) for shots in ep.supports.values()
+                     for shot in shots}
+            assert len(bases) == 1
+            (base,) = {shot[lv].data.base.shape for shot in ep.supports[0]}
+            assert base == (5, 2, *ep.supports[0][0][lv].data.shape)
 
     def test_magic_bytes(self, tmp_path):
         _, eps = episodes_fixture(n=1)

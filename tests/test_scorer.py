@@ -350,6 +350,22 @@ class TestGradients:
         want = [oracle_backward(maps[i], grad_v[i], eps) for i in range(3)]
         assert np.abs(got - np.array(want)).max() / np.abs(want).max() < 1e-12
 
+    @pytest.mark.parametrize("shape", [(32, 64, 8, 8), (3, 3, 5, 6), (2, 4, 3, 3), (4, 2, 2, 2)])
+    def test_backward_bitwise_equal_to_mask_form(self, shape):
+        """The window-compare local branch and the in-place global branch
+        give the bytes of the argmax, one-hot mask and np.where form they
+        replace: on random maps, on integer maps full of tied windows, with
+        zero-variance channels and +/-0.0 gradients."""
+        rng = np.random.default_rng(sum(shape))
+        n, c = shape[:2]
+        tied = rng.integers(-2, 3, shape).astype(np.float32)
+        tied[:, 0] = 1.5
+        tied[0] = 0.0
+        for maps in (rng.standard_normal(shape).astype(np.float32), tied):
+            for grad_v in (rng.standard_normal((n, 2 * c)), -np.zeros((n, 2 * c))):
+                got = confidence_backward_batch(maps, grad_v)
+                assert got.tobytes() == mask_form_backward(maps, grad_v).tobytes()
+
     def test_rejects_mixed_shapes(self):
         rng = np.random.default_rng(14)
         batch = [(random_map(rng, 2, 4, 4), 1), (random_map(rng, 2, 6, 6), 0)]
@@ -360,6 +376,35 @@ class TestGradients:
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
             loss_and_grads(tiny_model(rng), [])
+
+
+def mask_form_backward(maps, grad_v, eps=1e-5):
+    """confidence_backward_batch as an argmax one-hot mask and np.where for
+    the local branch, and out-of-place (N, C, H, W) temporaries for the
+    global branch."""
+    x = np.asarray(maps).astype(np.float64)
+    n, ch, h, w = x.shape
+    g = np.asarray(grad_v, dtype=np.float64)[:, :, None, None]
+    grad_local, grad_global = g[:, :ch], g[:, ch:]
+    ph, pw = h // 2, w // 2
+    win = x[:, :, : ph * 2, : pw * 2].reshape(n, ch, ph, 2, pw, 2)
+    first = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, ch, ph, pw, 4).argmax(axis=4)
+    mask = (first[..., None] == np.arange(4)).reshape(n, ch, ph, pw, 2, 2)
+    grad_x = np.zeros_like(x)
+    grad_x[:, :, : ph * 2, : pw * 2] = np.where(
+        mask.transpose(0, 1, 2, 4, 3, 5), grad_local[..., None, None] / (ph * pw), 0.0
+    ).reshape(n, ch, ph * 2, pw * 2)
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    sd = x.std(axis=(2, 3), keepdims=True)
+    s = sd + eps
+    d = x - mu
+    z = d / s
+    u = (grad_global / (h * w)) * (z > 0)
+    u_mean = u.mean(axis=(2, 3), keepdims=True)
+    ud_mean = (u * d).mean(axis=(2, 3), keepdims=True)
+    sd_safe = np.where(sd > 0, sd, 1.0)
+    grad_x += (u - u_mean) / s - d * ud_mean / (sd_safe * s * s)
+    return grad_x
 
 
 def small_episodes(n=6, seed=0, sigma=0.1):
