@@ -160,7 +160,13 @@ def cmd_bench(args) -> int:
             records.append(cost.TimingRecord(
                 n_candidates=len(ep.class_ids), n_selected=len(res.selected),
                 **{f"{stage}_seconds": t for stage, t in res.timings.items()}))
-    fit = cost.measure(records, n_ref=len(episodes[0].class_ids))
+    n = len(episodes[0].class_ids)
+    if all(r.n_selected == n for r in records):
+        hint = f"--top-n must be below {n}" if args.strategy == "topn" else \
+            f"--strategy {args.strategy} must drop some class"
+        raise ValueError(f"the minor loop kept all {n} classes on every episode, so no "
+                         f"per-class cost can be fitted: {hint}")
+    fit = cost.measure(records, n_ref=n)
 
     sums = {tag: {stage: sum(t[stage] for t in ts) for stage in ts[0]}
             for tag, ts in timings.items()}
@@ -249,18 +255,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Pre-parse --config and inject its values as new defaults."""
+    """Pre-parse --config and inject its values as new defaults. The file
+    holds one JSON object; each key is an option of some command, and each
+    value a string or number that the option would take on the command
+    line (its string form is parsed with the option's type and choices)."""
     ns, _ = parser.parse_known_args(argv)
     if ns.config is None:
         return
     with open(ns.config) as f:
         values = json.load(f)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        defaults = {
-            k: v for k, v in values.items()
-            if any(a.dest == k for a in action._actions)
-        }
-        action.set_defaults(**defaults)
+    if not isinstance(values, dict):
+        raise ValueError(f"{ns.config}: config must be a JSON object, "
+                         f"not {type(values).__name__}")
+    options = {}
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                options.setdefault(action.dest, []).append((sub, action))
+    unknown = sorted(values.keys() - options.keys())
+    if unknown:
+        raise ValueError(f"{ns.config}: no command has the options {unknown}")
+    for key, value in values.items():
+        for sub, action in options[key]:
+            try:
+                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                    raise ValueError("not a string or a number")
+                parsed = (action.type or str)(str(value))
+                if action.choices is not None and parsed not in action.choices:
+                    raise ValueError(f"not one of {action.choices}")
+            except ValueError as e:
+                raise ValueError(f"{ns.config}: invalid value {value!r} for "
+                                 f"{action.option_strings[-1]}: {e}") from None
+            sub.set_defaults(**{key: parsed})
 
 
 def main(argv=None) -> int:

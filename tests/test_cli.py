@@ -199,6 +199,12 @@ class TestMalformedInputs:
         _edit_manifest(pack, lambda man: man["episodes"][0].pop(key))
         assert "malformed manifest" in self._eval_error(pack, ckpt, capsys)
 
+    @pytest.mark.parametrize("value", [float("inf"), 2**64, 0, -1])
+    def test_manifest_dim_out_of_range(self, pack, ckpt, capsys, value):
+        """An infinite, too large, zero or negative channel count."""
+        _edit_manifest(pack, lambda man: man["levels"]["L3"].update(channels=value))
+        assert "malformed manifest" in self._eval_error(pack, ckpt, capsys)
+
     def test_present_class_not_a_candidate(self, pack, ckpt, capsys):
         def add_class_99(man):
             meta = man["episodes"][0]
@@ -263,6 +269,36 @@ class TestConfigFile:
 
         assert len(read_pack(out)[0].class_ids) == 5
 
+    @pytest.mark.parametrize("config", [
+        [1, 2],             # not an object
+        "str",              # not an object
+        {"top_n": 3.7},     # --top-n 3.7 is not an int
+        {"top_n": "abc"},   # nor is --top-n abc
+        {"peak": [1]},      # a list is no command-line value
+        {"top_k": 3},       # no command has --top-k
+    ], ids=["list", "string", "float-for-int", "text-for-int", "list-value", "unknown-key"])
+    def test_malformed_config_rejected(self, tmp_path, pack, ckpt, capsys, config):
+        """Each case exits 1 with one error line and prints nothing, before
+        any command runs."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["--config", str(cfg), "eval", "--checkpoint", str(ckpt),
+                     "--pack", str(pack)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {cfg}"), err
+
+    def test_config_value_parsed_as_flag(self, tmp_path, pack, ckpt, capsys):
+        """A string value takes the option's type, as on the command line:
+        "6" for --top-n keeps all 6 classes, so minor AP equals full AP."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_n": "6", "strategy": "topn"}))
+        assert main(["--config", str(cfg), "eval", "--checkpoint", str(ckpt),
+                     "--pack", str(pack)]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["ap_minor"] == record["ap_full"]
+
     def test_missing_config_file(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.json"),
                      "gen", "-o", str(tmp_path / "p.epk")])
@@ -294,3 +330,18 @@ class TestBench:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    def test_default_top_n_on_small_pack(self, tmp_path, capsys):
+        """Acceptance criterion 8's 8-class pack with bench's defaults:
+        TopN(10) keeps every class, and the error says so."""
+        pack, ckpt = tmp_path / "pack.epk", tmp_path / "model.ckpt"
+        assert main(["gen", "--classes", "8", "--present", "2", "--episodes", "8",
+                     "--shots", "2", "--seed", "3", "-o", str(pack)]) == EXIT_OK
+        assert main(TRAIN_ARGS + ["--pack", str(pack), "-o", str(ckpt)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["bench", "--checkpoint", str(ckpt), "--pack", str(pack)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "kept all 8 classes" in err and "--top-n must be below 8" in err

@@ -11,10 +11,10 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_OK, main
-from preselect.episodes import SynthConfig, synth_episodes
+from preselect.episodes import Episode, SynthConfig, synth_episodes
 from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import ScoreModel
-from preselect.tensor_ops import Level
+from preselect.tensor_ops import FeatureMap, Level
 
 from helpers import random_projector, scores_batch
 
@@ -104,6 +104,58 @@ class TestPackWire:
         pack.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match=f"trailing bytes at byte {len(raw)}"):
             read_pack(pack)
+
+
+# Channels and grids unlike the synthetic defaults: odd, unequal sides
+# and dims of 1, with a different channel count at every level.
+ODD_CHANNELS = {Level.L2: 3, Level.L3: 1, Level.L4: 5}
+ODD_QUERY = {Level.L2: (7, 5), Level.L3: (1, 9), Level.L4: (3, 3)}
+ODD_SUPPORT = {Level.L2: (3, 1), Level.L3: (5, 2), Level.L4: (1, 1)}
+
+
+def odd_episodes(n=2, num_classes=3, k=2, seed=0):
+    """Episodes built by hand at the ODD_* dims, random maps."""
+    rng = np.random.default_rng(seed)
+
+    def maps(grids):
+        return {lv: FeatureMap(rng.standard_normal((ODD_CHANNELS[lv], *grids[lv]),
+                                                   dtype=np.float32), lv)
+                for lv in (Level.L2, Level.L3, Level.L4)}
+
+    return [Episode(query_id=f"odd-{i}", levels=maps(ODD_QUERY),
+                    supports={cid: [maps(ODD_SUPPORT) for _ in range(k)]
+                              for cid in range(num_classes)},
+                    present_classes=frozenset({i % num_classes}),
+                    gt_boxes={i % num_classes: [(0.0, 1.0, 2.0, 3.5)]})
+            for i in range(n)]
+
+
+class TestOddDims:
+    """Packs whose record is built from channels and grids other than the
+    synthetic defaults."""
+
+    def test_round_trip_and_rewrite(self, tmp_path):
+        eps = odd_episodes()
+        path, again = tmp_path / "pack.epk", tmp_path / "again.epk"
+        write_pack(path, eps)
+        loaded = read_pack(path)
+        assert_same_episodes(loaded, eps)
+        write_pack(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+        assert map_offsets(path.read_bytes())[-1] + 16 + 4 * 5 * 1 * 1 == len(path.read_bytes())
+
+    def test_every_flipped_header_names_its_map(self, tmp_path):
+        """Each map's header, query and shots alike, is checked against the
+        manifest: a changed dim word fails with that map's offset."""
+        path = tmp_path / "pack.epk"
+        write_pack(path, odd_episodes(n=1, num_classes=2, k=1))
+        raw = path.read_bytes()
+        for offset in map_offsets(raw):
+            bad = bytearray(raw)
+            bad[offset + 8] ^= 0x04  # the map's H word
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match=f"tensor at byte {offset} has rank/dims"):
+                read_pack(path)
 
 
 class TestEpisodePack:
