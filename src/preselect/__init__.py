@@ -3,7 +3,7 @@ class pre-selection, and the precision/latency metrics around them."""
 
 from .cost import CostProfile, REFERENCE_PROFILE, per_class_cost, predict_time
 from .episodes import Episode, FusionProjector, SynthConfig, synth_episode, synth_episodes
-from .metrics import average_precision, omission_rate, selection_recall
+from .metrics import average_precision, omission_rate
 from .scorer import Phase, ScoreModel, TrainConfig, train
 from .selector import Adaptive, All, Detection, TopN, run_inference, select
 
@@ -26,7 +26,6 @@ __all__ = [
     "predict_time",
     "run_inference",
     "select",
-    "selection_recall",
     "synth_episode",
     "synth_episodes",
     "train",

@@ -1,7 +1,7 @@
 """Command-line entry point: gen / train / eval / bench.
 
 A JSON config file may supply any long-option value; explicit flags win.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
 eval rounds its report to 4 decimals so runs diff cleanly; bench prints
 one JSON line of unrounded, non-deterministic timings.
 """
@@ -202,8 +202,16 @@ def _add_strategy_args(p: argparse.ArgumentParser) -> None:
                    help="relative heat-map threshold of the toy detector")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that main
+    reports them as one error line with exit 1; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preselect",
         description="Few-shot detection class pre-selection pipeline",
     )

@@ -103,7 +103,7 @@ def correlate(query: FeatureMap, proto: np.ndarray) -> FeatureMap:
         raise ValueError(
             f"prototype dim {proto.shape[0]} != query channels {query.channels}"
         )
-    return FeatureMap(query.data * proto[:, None, None], query.level)
+    return FeatureMap(query.data * proto[:, None, None])
 
 
 @dataclass
@@ -121,14 +121,9 @@ class FusionProjector:
     @classmethod
     def identity(cls, channels: dict[Level, int], out_channels: int) -> "FusionProjector":
         """Identity-like init: eye padded/truncated to out_channels rows."""
-        weights, biases = {}, {}
-        for level, c_in in channels.items():
-            w = np.zeros((out_channels, c_in), dtype=np.float32)
-            for i in range(min(out_channels, c_in)):
-                w[i, i] = 1.0
-            weights[level] = w
-            biases[level] = np.zeros(out_channels, dtype=np.float32)
-        return cls(weights, biases)
+        return cls({lv: np.eye(out_channels, c_in, dtype=np.float32)
+                    for lv, c_in in channels.items()},
+                   {lv: np.zeros(out_channels, dtype=np.float32) for lv in channels})
 
     def copy(self) -> "FusionProjector":
         return FusionProjector(
@@ -141,11 +136,11 @@ def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> Feature
     """Align all levels to the L4 grid, project channels, and average:
     fuse_batch of one class whose prototype entries are all one.
 
-    Returns a FUSED map with proj's output channels on the L4 grid.
+    Returns a map with proj's output channels on the L4 grid.
     """
     aligned = align_query(maps)
     ones = np.ones((1, len(aligned)), np.float32)
-    return FeatureMap(fuse_batch(aligned, ones, proj)[0], Level.FUSED)
+    return FeatureMap(fuse_batch(aligned, ones, proj)[0])
 
 
 def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
@@ -291,7 +286,7 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
             blob = _gaussian_blob(h, w, cy * scale + (scale - 1) / 2,
                                   cx * scale + (scale - 1) / 2, bsig * scale)
             q += cfg.blob_amplitude * sigs[level][cid][:, None, None] * blob[None, :, :]
-        levels[level] = FeatureMap(q.astype(np.float32), level)
+        levels[level] = FeatureMap(q.astype(np.float32))
 
     supports: dict[int, list[dict[Level, FeatureMap]]] = {}
     for cid in range(cfg.num_classes):
@@ -304,7 +299,7 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
                 s = sigs[level][cid][:, None, None] + rng.standard_normal(
                     (c, sh, sw)
                 ) * cfg.noise_sigma
-                shot[level] = FeatureMap(s.astype(np.float32), level)
+                shot[level] = FeatureMap(s.astype(np.float32))
             shots.append(shot)
         supports[cid] = shots
 

@@ -23,16 +23,6 @@ def omission_rate(ap_full: float, ap_minor: float) -> float:
     return -(ap_full - ap_minor) / ap_full * 100.0 + 0.0  # avoid -0.0
 
 
-def selection_recall(selected: list[int], present: frozenset[int] | set[int]) -> float:
-    """Fraction of truly present classes that survived selection.
-
-    Vacuously 1 when nothing is present.
-    """
-    if not present:
-        return 1.0
-    return len(set(selected) & set(present)) / len(present)
-
-
 def iou(a: Box, b: Box) -> float:
     ix1, iy1 = max(a[0], b[0]), max(a[1], b[1])
     ix2, iy2 = min(a[2], b[2]), min(a[3], b[3])
@@ -46,15 +36,13 @@ def iou(a: Box, b: Box) -> float:
 def _class_ap(dets: list[tuple[str, Box, float]],
               gts: dict[str, list[Box]],
               iou_threshold: float) -> float:
-    """AP for one class over all episodes.
+    """AP for one class over all episodes; gts holds at least one box.
 
     Detections sorted by confidence; greedy match against unmatched
     ground truth in the same episode; area under the interpolated
     (running-max) precision-recall curve.
     """
     n_gt = sum(len(boxes) for boxes in gts.values())
-    if n_gt == 0:
-        return float("nan")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], dets[i][0], dets[i][1]))
     matched: dict[str, set[int]] = {eid: set() for eid in gts}
     tp = np.zeros(len(order))

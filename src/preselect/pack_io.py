@@ -66,9 +66,16 @@ def require_bytes(f: BufferedReader, n: int) -> None:
 
 
 def read_floats(f: BufferedReader, shape) -> np.ndarray:
-    """The next prod(shape) little-endian float32 values of f, shaped."""
-    data = read_exact(f, 4 * math.prod(shape))
-    return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+    """The next prod(shape) little-endian float32 values of f, shaped;
+    ValueError naming the byte offset of the first one that is not finite."""
+    start = f.tell()
+    values = np.frombuffer(read_exact(f, 4 * math.prod(shape)), dtype="<f4")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{getattr(f, 'name', 'stream')}: non-finite value "
+                         f"{values[i]} at byte {start + 4 * i}")
+    return values.reshape(shape).astype(np.float32)
 
 
 def _record(man: dict) -> np.dtype:
@@ -211,11 +218,11 @@ def read_pack(path) -> list[Episode]:
                 raise ValueError(f"{path}: tensor at byte {start + 4 * int(index[i, 0])} "
                                  f"has rank/dims {found[i].tolist()}, "
                                  f"expected {expected[i].tolist()}")
-            levels = {lv: FeatureMap(np.array(rec[lv.value], np.float32), lv)
+            levels = {lv: FeatureMap(np.array(rec[lv.value], np.float32))
                       for lv in FEATURE_LEVELS}
             stacked = {lv: np.array(rec["shots"][lv.value], np.float32, order="C")
                        for lv in FEATURE_LEVELS}
-            supports = {cid: [{lv: FeatureMap(stacked[lv][cid, j], lv) for lv in FEATURE_LEVELS}
+            supports = {cid: [{lv: FeatureMap(stacked[lv][cid, j]) for lv in FEATURE_LEVELS}
                               for j in range(k)]
                         for cid in range(num_classes)}
             episodes.append(Episode(query_id=query_id, levels=levels, supports=supports,

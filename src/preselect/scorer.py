@@ -377,18 +377,6 @@ def _sample_pairs(episodes: list[Episode], ratio: int,
     return pairs
 
 
-def _cached_rows(cache: dict[tuple[int, int], np.ndarray], ei: int, class_ids: list[int],
-                 build) -> np.ndarray:
-    """The rows cache[ei, cid] of class_ids in episode ei, stacked.
-    build(cids) returns the rows of the pairs not cached yet, in one array.
-    These inputs never change during a phase, so each (episode, class) is
-    built once, when it is first sampled."""
-    missing = [cid for cid in class_ids if (ei, cid) not in cache]
-    if missing:
-        cache.update(((ei, cid), row) for cid, row in zip(missing, build(missing)))
-    return np.stack([cache[ei, cid] for cid in class_ids])
-
-
 def train(
     model: ScoreModel,
     proj: FusionProjector,
@@ -410,17 +398,24 @@ def train(
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
-    # Prototype rows in JOINT, confidence vectors in TPF_ONLY.
     cache: dict[tuple[int, int], np.ndarray] = {}
     aligned: dict[int, np.ndarray] = {}
     losses: list[float] = []
 
-    def build(ep: Episode, cids: list[int]) -> np.ndarray:
-        protos = prototype_matrices([ep.supports[cid] for cid in cids])
-        if joint:
-            return protos
-        q4 = ep.levels[Level.L4].data
-        return confidence_vectors_batch(protos[:, -len(q4):, None, None] * q4, model.eps)
+    def group_rows(ei: int, cids: list[int]) -> np.ndarray:
+        """The rows of classes cids in episode ei, stacked: prototype rows
+        in JOINT, L4 confidence vectors in TPF_ONLY. These never change
+        during a phase, so each (episode, class) row is built once, when it
+        is first sampled, with the episode's other new rows."""
+        ep = episodes[ei]
+        missing = [cid for cid in cids if (ei, cid) not in cache]
+        if missing:
+            new = prototype_matrices([ep.supports[cid] for cid in missing])
+            if not joint:
+                q4 = ep.levels[Level.L4].data
+                new = confidence_vectors_batch(new[:, -len(q4):, None, None] * q4, model.eps)
+            cache.update(((ei, cid), row) for cid, row in zip(missing, new))
+        return np.stack([cache[ei, cid] for cid in cids])
 
     for _ in range(cfg.epochs):
         pairs = _sample_pairs(episodes, cfg.negative_ratio, rng)
@@ -434,12 +429,9 @@ def train(
             labels = np.array([label for _, _, label in chunk])
             groups = []
             for ei, grp in itertools.groupby(chunk, key=lambda p: p[0]):
-                ep = episodes[ei]
-                rows = _cached_rows(cache, ei, [cid for _, cid, _ in grp],
-                                    lambda missing: build(ep, missing))
+                groups.append((ei, group_rows(ei, [cid for _, cid, _ in grp])))
                 if joint and ei not in aligned:
-                    aligned[ei] = align_query(ep.levels)
-                groups.append((ei, rows))
+                    aligned[ei] = align_query(episodes[ei].levels)
             if joint:
                 maps = np.concatenate([fuse_batch(aligned[ei], rows, proj)
                                        for ei, rows in groups])

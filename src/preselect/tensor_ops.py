@@ -1,5 +1,5 @@
-"""Feature maps: float32 (C, H, W) arrays tagged with their pyramid level,
-and the block-average downsampling that level fusion uses."""
+"""Feature maps: float32 (C, H, W) arrays, the pyramid levels they are
+keyed by, and the block-average downsampling that level fusion uses."""
 
 from __future__ import annotations
 
@@ -10,20 +10,18 @@ import numpy as np
 
 
 class Level(Enum):
-    """Pyramid level tag carried by every feature map."""
+    """Pyramid level of a feature map: its key in an episode's maps."""
 
     L2 = "L2"
     L3 = "L3"
     L4 = "L4"
-    FUSED = "FUSED"
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A (channels, height, width) float32 array tagged with its level."""
+    """A finite (channels, height, width) float32 array."""
 
     data: np.ndarray
-    level: Level
 
     def __post_init__(self):
         if self.data.ndim != 3:

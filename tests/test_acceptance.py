@@ -101,7 +101,7 @@ def test_criterion_1_equation_oracles(capsys):
         h = int(rng.choice([4, 6, 8]))
         w = int(rng.choice([4, 6, 8]))
         data = rng.standard_normal((c, h, w)).astype(np.float32)
-        fm = FeatureMap(data, Level.L4)
+        fm = FeatureMap(data)
         model = ScoreModel.init(c, hidden=8, seed=int(rng.integers(1 << 30)))
         probs, logits = predict(model, fm)
         o_probs, o_logits = oracle_forward(model, data)
@@ -128,8 +128,7 @@ def test_criterion_2_gradient_check(capsys):
         b2=rng.standard_normal(2).astype(np.float32),
     )
     batch = [
-        (FeatureMap(rng.standard_normal((2, 4, 4)).astype(np.float32), Level.L4),
-         i % 2)
+        (FeatureMap(rng.standard_normal((2, 4, 4)).astype(np.float32)), i % 2)
         for i in range(4)
     ]
     _, grads, _ = loss_and_grads(model, batch)

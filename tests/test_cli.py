@@ -10,6 +10,7 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from preselect.tensor_ops import Level
 
 GEN_ARGS = ["gen", "--classes", "6", "--present", "2", "--episodes", "6",
             "--shots", "2", "--seed", "0"]
@@ -243,6 +244,44 @@ class TestMalformedInputs:
         raw[12:16] = struct.pack("<f", 0.0)
         ckpt.write_bytes(bytes(raw))
         assert "eps" in self._eval_error(pack, ckpt, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("blob", ["w1", "b2", "projector"])
+    def test_nonfinite_checkpoint_weight(self, pack, ckpt, capsys, blob, value, command):
+        """A NaN or inf weight is rejected at load, naming its byte offset,
+        before any score is computed from it."""
+        model, proj = load_checkpoint(ckpt)
+        target = {"w1": model.w1, "b2": model.b2, "projector": proj.weights[Level.L3]}[blob]
+        target.flat[1] = value
+        save_checkpoint(ckpt, model, proj)
+        offset = ckpt.read_bytes().index(np.float32(value).tobytes())
+        code = main([command, "--checkpoint", str(ckpt), "--pack", str(pack),
+                     "--top-n", "3"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert f"non-finite value {value} at byte {offset}" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["eval", "--checkpoint", "m.ckpt", "--pack", "p.epk", "--top-n", "abc"],
+        ["eval", "--checkpoint", "m.ckpt"],
+        ["detect", "--pack", "p.epk"],
+        ["gen", "--colors", "3", "-o", "p.epk"],
+    ], ids=["bad-int", "missing-required", "unknown-command", "unknown-flag"])
+    def test_usage_error_is_validation_error(self, tmp_path, monkeypatch, capsys, args):
+        """A command line argparse rejects exits 1 with one error line
+        naming the command, no usage block, and nothing on stdout."""
+        monkeypatch.chdir(tmp_path)
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: preselect"), err
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfigFile:

@@ -24,12 +24,12 @@ from preselect.tensor_ops import FeatureMap, Level, block_mean
 from helpers import random_projector
 
 
-def fmap(arr, level=Level.L4):
-    return FeatureMap(np.asarray(arr, dtype=np.float32), level)
+def fmap(arr):
+    return FeatureMap(np.asarray(arr, dtype=np.float32))
 
 
 def make_shot(rng, channels, level=Level.L4, hw=(2, 2)):
-    return {level: fmap(rng.standard_normal((channels, *hw)), level)}
+    return {level: fmap(rng.standard_normal((channels, *hw)))}
 
 
 class TestBuildPrototype:
@@ -137,7 +137,6 @@ class TestCorrelate:
         q = fmap(rng.standard_normal((5, 3, 3)))
         out = correlate(q, np.ones(5, np.float32))
         np.testing.assert_array_equal(out.data, q.data)
-        assert out.level == q.level
 
     def test_zero_prototype(self):
         rng = np.random.default_rng(5)
@@ -185,33 +184,48 @@ class TestFuseLevels:
     @staticmethod
     def _same_grid_maps(rng, c=4, hw=(4, 4)):
         return {
-            lv: fmap(rng.standard_normal((c, *hw)), lv)
+            lv: fmap(rng.standard_normal((c, *hw)))
             for lv in (Level.L2, Level.L3, Level.L4)
         }
 
     def test_identity_on_identical_maps(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((4, 4, 4)).astype(np.float32)
-        maps = {lv: FeatureMap(data.copy(), lv) for lv in (Level.L2, Level.L3, Level.L4)}
+        maps = {lv: FeatureMap(data.copy()) for lv in (Level.L2, Level.L3, Level.L4)}
         proj = FusionProjector.identity({lv: 4 for lv in maps}, 4)
         fused = fuse_levels(maps, proj)
-        assert fused.level == Level.FUSED
         np.testing.assert_allclose(fused.data, data, atol=1e-6)
 
     def test_zero_maps_fuse_to_zero(self):
         maps = {
-            lv: fmap(np.zeros((4, 4, 4)), lv) for lv in (Level.L2, Level.L3, Level.L4)
+            lv: fmap(np.zeros((4, 4, 4))) for lv in (Level.L2, Level.L3, Level.L4)
         }
         proj = FusionProjector.identity({lv: 4 for lv in maps}, 4)
         assert not fuse_levels(maps, proj).data.any()
+
+    def test_identity_pads_and_truncates_the_eye(self):
+        """Fewer input channels than outputs leave zero rows; more leave
+        zero columns."""
+        proj = FusionProjector.identity({Level.L2: 3, Level.L3: 5, Level.L4: 4}, 4)
+        expected = {
+            Level.L2: [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            Level.L3: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+            Level.L4: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        }
+        for lv, rows in expected.items():
+            w, b = proj.weights[lv], proj.biases[lv]
+            assert w.dtype == b.dtype == np.float32
+            assert w.shape == (4, len(rows[0])) and b.shape == (4,)
+            assert w.tobytes() == np.array(rows, np.float32).tobytes()
+            assert b.tobytes() == np.zeros(4, np.float32).tobytes()
 
     def test_composition_of_primitives_oracle(self):
         """Downsample + per-pixel channel affine + mean across levels."""
         rng = np.random.default_rng(9)
         maps = {
-            Level.L2: fmap(rng.standard_normal((2, 8, 8)), Level.L2),
-            Level.L3: fmap(rng.standard_normal((3, 4, 4)), Level.L3),
-            Level.L4: fmap(rng.standard_normal((4, 4, 4)), Level.L4),
+            Level.L2: fmap(rng.standard_normal((2, 8, 8))),
+            Level.L3: fmap(rng.standard_normal((3, 4, 4))),
+            Level.L4: fmap(rng.standard_normal((4, 4, 4))),
         }
         channels = {Level.L2: 2, Level.L3: 3, Level.L4: 4}
         proj = random_projector(channels, 4, rng)
@@ -256,9 +270,9 @@ class TestFuseLevels:
     def test_align_query_is_block_mean(self):
         rng = np.random.default_rng(15)
         levels = {
-            Level.L2: fmap(rng.standard_normal((2, 8, 8)), Level.L2),
-            Level.L3: fmap(rng.standard_normal((3, 4, 4)), Level.L3),
-            Level.L4: fmap(rng.standard_normal((4, 2, 2)), Level.L4),
+            Level.L2: fmap(rng.standard_normal((2, 8, 8))),
+            Level.L3: fmap(rng.standard_normal((3, 4, 4))),
+            Level.L4: fmap(rng.standard_normal((4, 2, 2))),
         }
         aligned = align_query(levels)
         assert aligned.shape == (9, 2, 2) and aligned.dtype == np.float64
@@ -268,9 +282,9 @@ class TestFuseLevels:
 
     def test_rejects_nondivisible_grids(self):
         maps = {
-            Level.L2: fmap(np.ones((2, 6, 6)), Level.L2),
-            Level.L3: fmap(np.ones((2, 4, 4)), Level.L3),
-            Level.L4: fmap(np.ones((2, 4, 4)), Level.L4),
+            Level.L2: fmap(np.ones((2, 6, 6))),
+            Level.L3: fmap(np.ones((2, 4, 4))),
+            Level.L4: fmap(np.ones((2, 4, 4))),
         }
         proj = FusionProjector.identity({lv: 2 for lv in maps}, 2)
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from preselect.metrics import (
     evaluate,
     iou,
     omission_rate,
-    selection_recall,
 )
 from preselect.scorer import ScoreModel
 from preselect.selector import Adaptive, All, TopN, run_inference
@@ -47,21 +46,6 @@ class TestOmissionRate:
     def test_rejects_zero_full_ap(self):
         with pytest.raises(ValueError):
             omission_rate(0.0, 1.0)
-
-
-class TestSelectionRecall:
-    def test_all_found(self):
-        assert selection_recall([1, 2, 3], {1, 2}) == 1.0
-
-    def test_half_found(self):
-        assert selection_recall([1], {1, 2}) == 0.5
-
-    def test_none_found(self):
-        assert selection_recall([3, 4], {1, 2}) == 0.0
-
-    def test_vacuous_when_nothing_present(self):
-        assert selection_recall([], set()) == 1.0
-        assert selection_recall([5], set()) == 1.0
 
 
 class TestIou:

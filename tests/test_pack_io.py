@@ -119,7 +119,7 @@ def odd_episodes(n=2, num_classes=3, k=2, seed=0):
 
     def maps(grids):
         return {lv: FeatureMap(rng.standard_normal((ODD_CHANNELS[lv], *grids[lv]),
-                                                   dtype=np.float32), lv)
+                                                   dtype=np.float32))
                 for lv in (Level.L2, Level.L3, Level.L4)}
 
     return [Episode(query_id=f"odd-{i}", levels=maps(ODD_QUERY),
@@ -230,13 +230,6 @@ class TestEpisodePack:
         with pytest.raises(ValueError):
             write_pack(tmp_path / "empty.epk", [])
 
-    def test_levels_preserved(self, tmp_path):
-        _, eps = episodes_fixture(n=1)
-        path = tmp_path / "pack.epk"
-        write_pack(path, eps)
-        loaded = read_pack(path)[0]
-        for lv in (Level.L2, Level.L3, Level.L4):
-            assert loaded.levels[lv].level is lv
 
 
 class TestCheckpoint:
@@ -291,6 +284,5 @@ class TestCheckpoint:
         m2, _ = load_checkpoint(path)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            m = FeatureMap(rng.standard_normal((8, 4, 4)).astype(np.float32),
-                           Level.L4)
+            m = FeatureMap(rng.standard_normal((8, 4, 4)).astype(np.float32))
             assert scores_batch(m2, m.data[None])[0] == scores_batch(model, m.data[None])[0]

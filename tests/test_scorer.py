@@ -42,8 +42,8 @@ from preselect.tensor_ops import FeatureMap, Level, block_mean
 from helpers import random_projector, scores_batch
 
 
-def fmap(arr, level=Level.L4):
-    return FeatureMap(np.asarray(arr, dtype=np.float32), level)
+def fmap(arr):
+    return FeatureMap(np.asarray(arr, dtype=np.float32))
 
 
 def random_map(rng, c=2, h=4, w=4):
@@ -593,7 +593,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
                 fused = np.mean([proj.weights[lv].astype(np.float64) @ x[lv]
                                  + proj.biases[lv][:, None] for lv in FEATURE_LEVELS], axis=0)
                 fused = fused.astype(np.float32).reshape(-1, q4.height, q4.width)
-                batch.append((FeatureMap(fused, Level.FUSED), label))
+                batch.append((FeatureMap(fused), label))
                 inputs.append(x)
             loss, grads, input_grads = loss_and_grads(model, batch, joint)
             total += loss

@@ -314,8 +314,8 @@ class TestRunInference:
         model, proj, ep = self._setup()
         big = dataclasses.replace(
             ep,
-            levels={lv: FeatureMap(fm.data * 1e20, lv) for lv, fm in ep.levels.items()},
-            supports={cid: [{lv: FeatureMap(fm.data * 1e20, lv) for lv, fm in shot.items()}
+            levels={lv: FeatureMap(fm.data * 1e20) for lv, fm in ep.levels.items()},
+            supports={cid: [{lv: FeatureMap(fm.data * 1e20) for lv, fm in shot.items()}
                             for shot in shots]
                       for cid, shots in ep.supports.items()},
         )

@@ -15,17 +15,17 @@ from preselect.scorer import _softmax, confidence_vectors_batch
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
 
-def fmap(arr, level=Level.L4):
-    return FeatureMap(np.asarray(arr, dtype=np.float32), level)
+def fmap(arr):
+    return FeatureMap(np.asarray(arr, dtype=np.float32))
 
 
-def random_map(rng, c, h, w, level=Level.L4):
-    return fmap(rng.standard_normal((c, h, w)), level)
+def random_map(rng, c, h, w):
+    return fmap(rng.standard_normal((c, h, w)))
 
 
 def spatial_average(m):
     """Per-channel spatial mean, as prototype_matrices takes it of one shot."""
-    return prototype_matrices([[{m.level: m}]])[0]
+    return prototype_matrices([[{Level.L4: m}]])[0]
 
 
 def max_pool_average(data):
@@ -155,4 +155,4 @@ class TestSharedInvariants:
         bad = np.ones((1, 2, 2), np.float32)
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            FeatureMap(bad, Level.L2)
+            FeatureMap(bad)
