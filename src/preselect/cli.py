@@ -17,8 +17,7 @@ from pathlib import Path
 from . import checkpoint, cost, pack_io
 from .episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
 from .metrics import evaluate
-from .scorer import (DivergenceError, Phase, ScoreModel, TrainConfig, query_scores,
-                     query_stats, train)
+from .scorer import DivergenceError, Phase, ScoreModel, TrainConfig, query_scores, train
 from .selector import Adaptive, All, TopN, run_inference
 from .tensor_ops import Level
 
@@ -101,10 +100,9 @@ def _train_accuracy(model, episodes) -> float:
     correct = total = 0
     for ep in episodes:
         protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
-        q4 = ep.levels[Level.L4].data
-        scores = query_scores(model, query_stats(q4), protos[:, -len(q4):])
+        scores = query_scores(model, ep.levels[Level.L4].data, protos)
         correct += sum((s >= 0.5) == (cid in ep.present_classes)
-                       for cid, s in zip(ep.class_ids, scores.tolist()))
+                       for cid, s in enumerate(scores.tolist()))
         total += len(scores)
     return correct / max(total, 1)
 

@@ -12,6 +12,7 @@ fuse_batch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class Episode:
     gt_boxes: dict[int, list[Box]]
 
     def __post_init__(self):
+        if not isinstance(self.query_id, str):
+            raise ValueError(f"query id {self.query_id!r} is not a string")
+        # A class's id is its row in every per-class array.
+        if self.supports.keys() != set(range(len(self.supports))):
+            raise ValueError(f"candidate classes {list(self.supports)} are not "
+                             f"0..{len(self.supports) - 1}")
         shot_counts = {len(shots) for shots in self.supports.values()}
         if len(shot_counts) > 1 or 0 in shot_counts:
             raise ValueError("every class needs the same number of support shots, "
@@ -45,12 +52,13 @@ class Episode:
                 raise ValueError(f"present class {cid} has no ground-truth boxes")
         for cid, boxes in self.gt_boxes.items():
             for x1, y1, x2, y2 in boxes:
-                if not (x1 < x2 and y1 < y2):
-                    raise ValueError(f"degenerate box {(x1, y1, x2, y2)} for class {cid}")
+                if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+                    raise ValueError(f"degenerate or non-finite box {(x1, y1, x2, y2)} "
+                                     f"for class {cid}")
 
     @property
     def class_ids(self) -> list[int]:
-        return sorted(self.supports)
+        return list(range(len(self.supports)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ reads any map ("truncated", "trailing" bytes), reads one record at a time
 and compares all its header words with the template's at once, reporting a
 mismatch with the byte offset of its map. Each level's support maps are
 copied out into one contiguous (N, k, C, h, w) array, and the episode's
-FeatureMaps are views of it.
+FeatureMaps are views of it. The manifest's class ids must be integers and
+its query ids distinct.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ def _record(man: dict) -> np.dtype:
     return np.dtype(query + [("shots", support, (num_classes, k))])
 
 
+def _class_id(value) -> int:
+    """A class id of the manifest: an integer, or a gt_boxes key that
+    spells one in decimal. ValueError for 6.5, 6.0, True or "06"."""
+    cid = int(value)
+    if str(cid) != str(value):
+        raise ValueError(f"class id {value!r} is not an integer")
+    return cid
+
+
 def _template(dtype: np.dtype) -> np.ndarray:
     """A zeroed record of dtype with every map's header filled in."""
     rec = np.zeros((), dtype)
@@ -110,7 +120,7 @@ def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
     first = episodes[0]
     for lv in FEATURE_LEVELS:
         q = first.levels[lv]
-        s = first.supports[first.class_ids[0]][0][lv]
+        s = first.supports[0][0][lv]
         levels_meta[lv.value] = {
             "channels": q.channels,
             "query_grid": [q.height, q.width],
@@ -119,7 +129,7 @@ def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
     man = {
         "format": 1,
         "num_classes": len(first.class_ids),
-        "k": len(first.supports[first.class_ids[0]]),
+        "k": len(first.supports[0]),
         "levels": levels_meta,
         "episodes": [
             {
@@ -148,7 +158,7 @@ def _put(view: np.ndarray, maps: np.ndarray) -> None:
 
 def write_pack(path, episodes: list[Episode], cfg: SynthConfig | None = None) -> None:
     """Write episodes as an EPK1 pack. Every episode needs the first one's
-    classes 0..N-1, shot count and map shapes."""
+    class count, shot count and map shapes."""
     if not episodes:
         raise ValueError("cannot write an empty pack")
     man = _manifest(episodes, cfg)
@@ -159,9 +169,6 @@ def write_pack(path, episodes: list[Episode], cfg: SynthConfig | None = None) ->
         f.write(struct.pack("<I", len(manifest)))
         f.write(manifest)
         for ep in episodes:
-            if ep.class_ids != list(range(man["num_classes"])):
-                raise ValueError(f"episode {ep.query_id!r} has classes {ep.class_ids}, "
-                                 f"the pack 0..{man['num_classes'] - 1}")
             for lv in FEATURE_LEVELS:
                 _put(rec[lv.value], ep.levels[lv].data)
                 _put(rec["shots"][lv.value],
@@ -182,8 +189,8 @@ def read_pack(path) -> list[Episode]:
         try:
             dtype = _record(man)
             labels = [
-                (meta["query_id"], frozenset(int(cid) for cid in meta["present"]),
-                 {int(cid): [tuple(float(v) for v in box) for box in boxes]
+                (meta["query_id"], frozenset(_class_id(cid) for cid in meta["present"]),
+                 {_class_id(cid): [tuple(float(v) for v in box) for box in boxes]
                   for cid, boxes in meta["gt_boxes"].items()})
                 for meta in man["episodes"]
             ]
@@ -207,7 +214,7 @@ def read_pack(path) -> list[Episode]:
         index = np.flatnonzero(words).reshape(-1, HEADER_WORDS)
         expected = words[index]
         num_classes, k = dtype["shots"].shape
-        episodes = []
+        episodes: dict[str, Episode] = {}
         for query_id, present, gt_boxes in labels:
             if f.readinto(words) != words.nbytes:
                 raise ValueError(f"{path}: truncated at byte {f.tell()}")
@@ -225,7 +232,9 @@ def read_pack(path) -> list[Episode]:
             supports = {cid: [{lv: FeatureMap(stacked[lv][cid, j]) for lv in FEATURE_LEVELS}
                               for j in range(k)]
                         for cid in range(num_classes)}
-            episodes.append(Episode(query_id=query_id, levels=levels, supports=supports,
-                                    present_classes=present, gt_boxes=gt_boxes))
+            ep = Episode(query_id=query_id, levels=levels, supports=supports,
+                         present_classes=present, gt_boxes=gt_boxes)
+            if episodes.setdefault(query_id, ep) is not ep:
+                raise ValueError(f"{path}: query id {query_id!r} is repeated")
             start += words.nbytes
-    return episodes
+    return list(episodes.values())

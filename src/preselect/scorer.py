@@ -3,11 +3,13 @@
 A correlation map is reduced to a confidence vector by two pooling
 branches (a local max-pooled average and a global normalized-rectified
 average), then a small MLP (2C -> hidden -> 2) turns that vector into
-existence logits. Backprop is written by hand: through the MLP, and
-through both pooling branches down to the input map so the fusion
-projections can be trained jointly. Inference gets every class's vector of
-one query from that query's statistics, without forming the maps
-(query_stats, query_confidence_vectors).
+existence logits. The scorer has two forwards. Inference scores every
+candidate class of one query from that query's statistics and the
+classes' prototypes, without forming the maps (query_scores, in float32).
+Training scores maps it has formed (confidence_vectors_batch, then _mlp
+in float64). Backprop is written by hand: through the MLP, and through
+both pooling branches down to the input map so the fusion projections can
+be trained jointly.
 """
 
 from __future__ import annotations
@@ -251,17 +253,12 @@ def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, z))
 
 
-def query_scores(model: ScoreModel, stats: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities of the correlation maps protos[n] * q
-    for prototypes (N, C), given query_stats(q) of the L4 query q."""
-    return _positive_probs(model, query_confidence_vectors(stats, protos, model.eps))
-
-
-def predict(model: ScoreModel, c: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    """The scorer's forward pass for one map: (probs, logits), both dim 2."""
-    v = confidence_vectors_batch(c.data[None], model.eps).astype(np.float32)
-    logits = _mlp(model, v)[1]
-    return _softmax(logits)[0], logits[0]
+def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities of the N correlation maps of the
+    (C, H, W) L4 query map q4, one per row of prototype_matrices' (N,
+    sum of C_l) output, whose last C columns are the L4 prototypes."""
+    v = query_confidence_vectors(query_stats(q4), protos[:, -len(q4):], model.eps)
+    return _positive_probs(model, v)
 
 
 @dataclass

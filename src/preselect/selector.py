@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .episodes import Box, Episode, FusionProjector, align_query, fuse_batch, prototype_matrices
-from .scorer import ScoreModel, query_scores, query_stats
+from .scorer import ScoreModel, query_scores
 from .tensor_ops import Level
 
 
@@ -154,26 +154,24 @@ def run_inference(
     all classes that the full loop needs too: the prototypes and the query
     levels aligned to the L4 grid. Scoring is everything the filter adds:
     the L4 query statistics, every class's confidence vector and the MLP.
-    Fusion and detect each run once over the selected classes. heavy_calls
-    counts the classes that went through fusion+detect (len(selected)).
+    Fusion and detect each run once over the selected classes, whose ids
+    are their prototype rows. heavy_calls counts the classes that went
+    through fusion+detect (len(selected)).
     """
     t0 = time.perf_counter()
     protos = prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
     t1 = time.perf_counter()
-    q4 = episode.levels[Level.L4].data
-    values = query_scores(model, query_stats(q4), protos[:, -len(q4):])
-    scores = dict(zip(episode.class_ids, values.tolist()))
+    values = query_scores(model, episode.levels[Level.L4].data, protos)
+    scores = dict(enumerate(values.tolist()))
     t2 = time.perf_counter()
 
     selected = select(scores, strategy)
-    row = {cid: i for i, cid in enumerate(episode.class_ids)}
-    rows = [row[cid] for cid in selected]
 
     # Setup work that only fusion reads, done just before it.
     t3 = time.perf_counter()
     aligned = align_query(episode.levels)
     t4 = time.perf_counter()
-    fused = fuse_batch(aligned, protos[rows], proj)
+    fused = fuse_batch(aligned, protos[selected], proj)
     t5 = time.perf_counter()
     found = detect_batch(fused, peak_threshold, selected)
     t6 = time.perf_counter()

@@ -133,14 +133,27 @@ CUTS = [("pack", part) for part in _pack_cuts(b"\0" * 8)] + \
        [("checkpoint", part) for part in _ckpt_cuts(b"\0" * 16)]
 
 
+# Each manifest label edit of TestMalformedInputs::test_malformed_label and
+# the error it must give.
+LABEL_ERRORS = {
+    "query-id-list": "not a string",
+    "query-id-repeated": "repeated",
+    "box-infinite": "non-finite box",
+    "present-fraction": "not an integer",
+    "box-key-zero-padded": "not an integer",
+}
+
+
 class TestMalformedInputs:
     """A cut or padded pack or checkpoint exits 1 with one error line."""
 
     @staticmethod
     def _eval_error(pack, ckpt, capsys):
         code = main(["eval", "--checkpoint", str(ckpt), "--pack", str(pack)])
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        err = err.splitlines()
         assert code == EXIT_VALIDATION
+        assert out == ""
         assert len(err) == 1 and err[0].startswith("error:"), err
         return err[0]
 
@@ -214,6 +227,30 @@ class TestMalformedInputs:
 
         _edit_manifest(pack, add_class_99)
         assert "not candidate classes" in self._eval_error(pack, ckpt, capsys)
+
+    @pytest.mark.parametrize("case", LABEL_ERRORS)
+    def test_malformed_label(self, pack, ckpt, capsys, case):
+        """A label that would crash eval or be read as another label: a
+        query id that is not a string or repeats another episode's (ground
+        truth is keyed by it), an infinite box coordinate (Python's json
+        reads Infinity), and a present class p + 0.5 or a gt_boxes key "0p",
+        which int() reads as p."""
+        def edit(man):
+            first, second = man["episodes"][:2]
+            key = next(iter(first["gt_boxes"]))
+            if case == "query-id-list":
+                first["query_id"] = [1]
+            elif case == "query-id-repeated":
+                second["query_id"] = first["query_id"]
+            elif case == "box-infinite":
+                first["gt_boxes"][key][0][2] = math.inf
+            elif case == "present-fraction":
+                first["present"][0] += 0.5
+            else:
+                first["gt_boxes"]["0" + key] = first["gt_boxes"].pop(key)
+
+        _edit_manifest(pack, edit)
+        assert LABEL_ERRORS[case] in self._eval_error(pack, ckpt, capsys)
 
     @pytest.mark.parametrize("command", ["train", "eval", "bench"])
     def test_pack_without_episodes(self, tmp_path, pack, ckpt, capsys, command):

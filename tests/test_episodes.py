@@ -399,6 +399,16 @@ class TestEpisodeInvariants:
                 gt_boxes={**ep.gt_boxes, cid: [(3.0, 2.0, 3.0, 4.0)]},
             )
 
+    @pytest.mark.parametrize("keys", [(0, 2), (1, 2)])
+    def test_classes_must_be_rows(self, keys):
+        """A class's id is its row in every per-class array, so the
+        candidate classes must be 0..N-1."""
+        ep = synth_episode(SynthConfig(num_classes=3, present_count=0), 11)
+        supports = {cid: ep.supports[cid] for cid in keys}
+        with pytest.raises(ValueError, match="not 0..1"):
+            Episode(query_id="bad", levels=ep.levels, supports=supports,
+                    present_classes=frozenset(), gt_boxes={})
+
     @pytest.mark.parametrize("field", ["present_classes", "gt_boxes"])
     def test_unknown_class_id_rejected(self, field):
         """Present classes and boxes must name candidate classes: recall

@@ -31,7 +31,6 @@ from preselect.scorer import (
     confidence_backward_batch,
     confidence_vectors_batch,
     loss_and_grads,
-    predict,
     query_confidence_vectors,
     query_scores,
     query_stats,
@@ -111,6 +110,19 @@ class TestRepresentations:
 
 
 class TestPredict:
+    """The inference forward on one map: query_scores for its score, _mlp
+    on query_confidence_vectors for its logits, both with an all-ones
+    prototype, whose correlation map is the map itself."""
+
+    @staticmethod
+    def _logits(model, q):
+        ones = np.ones((1, len(q)), np.float32)
+        return _mlp(model, query_confidence_vectors(query_stats(q), ones, model.eps))[1]
+
+    @staticmethod
+    def _score(model, q):
+        return query_scores(model, q, np.ones((1, len(q)), np.float32))[0]
+
     def test_hand_computed_logits(self):
         model = ScoreModel(
             w1=np.eye(4, dtype=np.float32),
@@ -118,26 +130,25 @@ class TestPredict:
             w2=np.float32([[1, 0, 0, 0], [0, 0, 1, 0]]),
             b2=np.float32([0.5, -0.5]),
         )
-        m = fmap(np.zeros((2, 2, 2)))
-        probs, logits = predict(model, m)
-        np.testing.assert_allclose(logits, [0.5, -0.5], atol=1e-6)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+        q = np.zeros((2, 2, 2), np.float32)
+        np.testing.assert_allclose(self._logits(model, q), [[0.5, -0.5]], atol=1e-6)
+        assert self._score(model, q) == pytest.approx(1 / (1 + math.e))
 
     def test_score_is_positive_prob(self):
         rng = np.random.default_rng(2)
         model = tiny_model(rng)
-        m = random_map(rng)
-        probs, _ = predict(model, m)
-        assert scores_batch(model, m.data[None])[0] == pytest.approx(float(probs[POSITIVE]))
+        q = random_map(rng).data
+        want = _softmax(self._logits(model, q))[0, POSITIVE]
+        assert self._score(model, q) == pytest.approx(float(want))
 
     def test_score_ranking_matches_logit_difference(self):
         rng = np.random.default_rng(3)
         model = tiny_model(rng)
-        maps = [random_map(rng) for _ in range(12)]
-        scores = [scores_batch(model, m.data[None])[0] for m in maps]
+        maps = [random_map(rng).data for _ in range(12)]
+        scores = [self._score(model, q) for q in maps]
         diffs = []
-        for m in maps:
-            _, logits = predict(model, m)
+        for q in maps:
+            logits = self._logits(model, q)[0]
             diffs.append(float(logits[POSITIVE] - logits[1 - POSITIVE]))
         assert np.argsort(scores).tolist() == np.argsort(diffs).tolist()
 
@@ -146,14 +157,18 @@ class TestPredict:
             w1=np.zeros((1, 2), np.float32), b1=np.zeros(1, np.float32),
             w2=np.zeros((2, 1), np.float32), b2=np.float32([1000, 0]),
         )
-        probs, _ = predict(model, fmap(np.zeros((1, 2, 2))))
-        assert np.all(np.isfinite(probs))
-        assert probs[0] > 0.999
+        q = np.zeros((1, 2, 2), np.float32)
+        score = self._score(model, q)
+        assert np.isfinite(score) and score < 0.001
+        assert np.all(np.isfinite(self._logits(model, q)))
 
     def test_rejects_channel_mismatch(self):
         rng = np.random.default_rng(4)
+        model, q = tiny_model(rng, channels=2), random_map(rng, c=3).data
         with pytest.raises(ValueError):
-            predict(tiny_model(rng, channels=2), random_map(rng, c=3))
+            self._score(model, q)
+        with pytest.raises(ValueError):
+            self._logits(model, q)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
     def test_rejects_bad_eps(self, eps):
@@ -210,9 +225,9 @@ class TestFactoredScoring:
         for seed, ep in enumerate(synth_episodes(cfg, 16, 6)):
             model = ScoreModel.init(64, hidden=64, seed=seed)
             q4 = ep.levels[Level.L4].data
-            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])[:, -len(q4):]
-            want = scores_batch(model, q4[None] * protos[:, :, None, None])
-            got = query_scores(model, query_stats(q4), protos)
+            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])
+            want = scores_batch(model, q4[None] * protos[:, -len(q4):, None, None])
+            got = query_scores(model, q4, protos)
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
         assert worst < 1e-6
 
