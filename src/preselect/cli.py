@@ -71,21 +71,22 @@ def cmd_train(args) -> int:
     model = ScoreModel.init(c4, hidden=args.hidden, seed=args.seed)
     proj = FusionProjector.identity(channels, c4)
 
-    phases = [Phase(p) for p in args.phases.split(",") if p]
-    print(f"config {_config_hash(args)}")
-    for phase in phases:
-        joint = phase is Phase.JOINT
-        tcfg = TrainConfig(
-            learning_rate=args.joint_lr if joint else args.lr,
-            epochs=args.joint_epochs if joint else args.epochs,
+    # Every phase's config is checked before anything is printed or trained.
+    configs = [
+        TrainConfig(
+            learning_rate=args.joint_lr if phase is Phase.JOINT else args.lr,
+            epochs=args.joint_epochs if phase is Phase.JOINT else args.epochs,
             batch_size=args.batch_size,
-            negative_ratio=args.negative_ratio,
             phase=phase,
             seed=args.seed,
         )
+        for phase in (Phase(p) for p in args.phases.split(",") if p)
+    ]
+    print(f"config {_config_hash(args)}")
+    for tcfg in configs:
         model, proj, losses = train(model, proj, episodes, tcfg)
         for i, loss in enumerate(losses):
-            print(f"phase {phase.value} epoch {i} loss {loss:.4f}")
+            print(f"phase {tcfg.phase.value} epoch {i} loss {loss:.4f}")
 
     acc = _train_accuracy(model, episodes)
     print(f"train accuracy {acc:.4f}")
@@ -110,8 +111,7 @@ def _train_accuracy(model, episodes) -> float:
 def cmd_eval(args) -> int:
     model, proj = checkpoint.load_checkpoint(args.checkpoint)
     episodes = pack_io.read_pack(args.pack)
-    report = evaluate(model, proj, episodes, _strategy(args),
-                      iou_threshold=args.iou, peak_threshold=args.peak)
+    report = evaluate(model, proj, episodes, _strategy(args), iou_threshold=args.iou)
     chash = _config_hash(args)
     record = {
         "config": chash,
@@ -147,13 +147,13 @@ def cmd_bench(args) -> int:
     loops = {"full": All(), "minor": _strategy(args)}
     # One untimed query per loop, so that the first timed one runs warm.
     for strategy in loops.values():
-        run_inference(model, proj, episodes[0], strategy, args.peak)
+        run_inference(model, proj, episodes[0], strategy)
 
     timings = {tag: [] for tag in loops}
     records = []
     for ep in episodes:
         for tag, strategy in loops.items():
-            res = run_inference(model, proj, ep, strategy, args.peak)
+            res = run_inference(model, proj, ep, strategy)
             timings[tag].append(res.timings)
             records.append(cost.TimingRecord(
                 n_candidates=len(ep.class_ids), n_selected=len(res.selected),
@@ -196,8 +196,6 @@ def _add_strategy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=["all", "topn", "adaptive"], default="topn")
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--peak", type=float, default=0.5,
-                   help="relative heat-map threshold of the toy detector")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, default=40)
     t.add_argument("--lr", type=float, default=0.5)
     t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--negative-ratio", type=int, default=1)
     t.add_argument("--hidden", type=int, default=512)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("-o", "--output", type=Path, required=True)

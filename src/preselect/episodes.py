@@ -7,7 +7,8 @@ channel product; level fusion downsamples everything to the coarsest
 grid, projects each level to a common channel count, and averages.
 Inference and training build the prototypes of a set of classes at once
 and fuse them in one contraction (prototype_matrices, align_query,
-fuse_batch).
+fuse_batch). synth_episode boxes each planted blob by the half-maximum
+rule (BOX_LEVEL) that the detector applies to a fused heat map.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ FEATURE_LEVELS = (Level.L2, Level.L3, Level.L4)
 
 # Box on the coarsest (L4) grid: (x1, y1, x2, y2), x1 < x2, y1 < y2.
 Box = tuple[float, float, float, float]
+
+# A blob's box spans its cells at or above BOX_LEVEL times its peak: the
+# rule of both synth_episode's ground truth and the detector.
+BOX_LEVEL = 0.5
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,9 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
 
     Present classes plant a Gaussian blob aligned with their channel
     signature into the query features at every level (scaled to each
-    grid); supports carry the signature plus noise. Ground-truth boxes
-    record blob extents on the L4 grid (half-width 1.2 * blob sigma,
-    matching the half-maximum support the toy detector recovers).
+    grid); supports carry the signature plus noise. A ground-truth box
+    spans the blob's L4 cells at or above BOX_LEVEL times its peak, the
+    rule the detector applies to the fused heat map.
     """
     sigs = _class_signatures(cfg, seed)
     rng = np.random.default_rng((seed, index))
@@ -313,10 +318,8 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
 
     gt_boxes: dict[int, list[Box]] = {}
     for cid, cy, cx, bsig in placements:
-        # Extent = the blob's above-half-maximum cells on the L4 grid,
-        # i.e. exactly the support a relative-0.5 threshold recovers.
         blob = _gaussian_blob(h4, w4, cy, cx, bsig)
-        ys, xs = np.nonzero(blob >= 0.5 * blob.max())
+        ys, xs = np.nonzero(blob >= BOX_LEVEL * blob.max())
         box = (float(xs.min()), float(ys.min()),
                float(xs.max() + 1), float(ys.max() + 1))
         gt_boxes.setdefault(cid, []).append(box)

@@ -147,7 +147,6 @@ def evaluate(
     episodes: list[Episode],
     strategy: SelectionStrategy,
     iou_threshold: float = 0.5,
-    peak_threshold: float = 0.5,
 ) -> EvalReport:
     """Run the full loop once per episode; report AP for it and for the
     strategy's minor loop, the omission rate between them, and class-wise
@@ -161,11 +160,11 @@ def evaluate(
     full_results, minor_results = [], []
     timings: dict[str, float] = {}
     for ep in episodes:
-        res = run_inference(model, proj, ep, All(), peak_threshold)
+        res = run_inference(model, proj, ep, All())
         selected = select(res.scores, strategy)
         kept = set(selected)
         minor_results.append(replace(
-            res, selected=selected, timings={}, heavy_calls=len(selected),
+            res, selected=selected, timings={},
             detections={cid: d if cid in kept else [] for cid, d in res.detections.items()}))
         full_results.append(res)
         for k, v in res.timings.items():

@@ -26,7 +26,8 @@ and compares all its header words with the template's at once, reporting a
 mismatch with the byte offset of its map. Each level's support maps are
 copied out into one contiguous (N, k, C, h, w) array, and the episode's
 FeatureMaps are views of it. The manifest's class ids must be integers and
-its query ids distinct.
+its query ids distinct; an episode whose labels Episode rejects is reported
+with the pack path and the episode's index.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def read_pack(path) -> list[Episode]:
         expected = words[index]
         num_classes, k = dtype["shots"].shape
         episodes: dict[str, Episode] = {}
-        for query_id, present, gt_boxes in labels:
+        for i, (query_id, present, gt_boxes) in enumerate(labels):
             if f.readinto(words) != words.nbytes:
                 raise ValueError(f"{path}: truncated at byte {f.tell()}")
             found = words[index]
@@ -232,8 +233,11 @@ def read_pack(path) -> list[Episode]:
             supports = {cid: [{lv: FeatureMap(stacked[lv][cid, j]) for lv in FEATURE_LEVELS}
                               for j in range(k)]
                         for cid in range(num_classes)}
-            ep = Episode(query_id=query_id, levels=levels, supports=supports,
-                         present_classes=present, gt_boxes=gt_boxes)
+            try:
+                ep = Episode(query_id=query_id, levels=levels, supports=supports,
+                             present_classes=present, gt_boxes=gt_boxes)
+            except ValueError as e:
+                raise ValueError(f"{path}: episode {i}: {e}") from None
             if episodes.setdefault(query_id, ep) is not ep:
                 raise ValueError(f"{path}: query id {query_id!r} is repeated")
             start += words.nbytes

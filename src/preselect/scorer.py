@@ -49,6 +49,8 @@ class ScoreModel:
     def init(cls, in_channels: int, hidden: int = HIDDEN_DIM,
              seed: int = 0) -> "ScoreModel":
         """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+        if hidden < 1:
+            raise ValueError(f"hidden width must be >= 1, got {hidden}")
         rng = np.random.default_rng(seed)
 
         def layer(out_d, in_d):
@@ -342,33 +344,35 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 10
     batch_size: int = 32
-    negative_ratio: int = 1  # negatives sampled per positive
     phase: Phase = Phase.JOINT
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.negative_ratio < 1:
-            raise ValueError("negative_ratio must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"{self.phase.value} learning rate must be positive, "
+                             f"got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"{self.phase.value} epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 class DivergenceError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
 
-def _sample_pairs(episodes: list[Episode], ratio: int,
+def _sample_pairs(episodes: list[Episode],
                   rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """(episode index, class id, label) pairs, one negative draw per
-    positive times ratio."""
+    """(episode index, class id, label) pairs: every present class, and one
+    absent class drawn per present one (one when none is present)."""
     pairs = []
     for ei, ep in enumerate(episodes):
         present = sorted(ep.present_classes)
         absent = [cid for cid in ep.class_ids if cid not in ep.present_classes]
         for cid in present:
             pairs.append((ei, cid, 1))
-        n_neg = min(len(absent), max(len(present), 1) * ratio)
-        if absent and n_neg:
+        if absent:
+            n_neg = min(len(absent), max(len(present), 1))
             for cid in rng.choice(absent, size=n_neg, replace=False):
                 pairs.append((ei, int(cid), 0))
     return pairs
@@ -415,7 +419,7 @@ def train(
         return np.stack([cache[ei, cid] for cid in cids])
 
     for _ in range(cfg.epochs):
-        pairs = _sample_pairs(episodes, cfg.negative_ratio, rng)
+        pairs = _sample_pairs(episodes, rng)
         rng.shuffle(pairs)
         epoch_loss = 0.0
         n_batches = 0

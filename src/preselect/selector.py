@@ -1,7 +1,9 @@
 """Minor-loop orchestration: score every candidate class cheaply, keep
 only the most promising ones, and run the expensive per-class stages
 (level fusion + toy detection) for that subset. Each stage runs once per
-query over arrays that hold every class it serves.
+query over arrays that hold every class it serves. The detector boxes a
+heat map by the half-maximum rule (episodes.BOX_LEVEL) that draws the
+synthetic ground truth, and each class's detections are stored under its id.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import Box, Episode, FusionProjector, align_query, fuse_batch, prototype_matrices
+from .episodes import (BOX_LEVEL, Box, Episode, FusionProjector, align_query, fuse_batch,
+                       prototype_matrices)
 from .scorer import ScoreModel, query_scores
 from .tensor_ops import Level
 
@@ -44,7 +47,6 @@ SelectionStrategy = TopN | Adaptive | All
 
 @dataclass(frozen=True)
 class Detection:
-    class_id: int
     box: Box  # L4-grid units
     confidence: float
 
@@ -64,20 +66,20 @@ def select(scores: dict[int, float], strategy: SelectionStrategy) -> list[int]:
     return ranked
 
 
-def detect_batch(fused: np.ndarray, peak_threshold: float,
-                 class_ids: list[int]) -> list[list[Detection]]:
+def detect_batch(fused: np.ndarray) -> list[list[Detection]]:
     """Blob detector on the channel-mean heat map of each map of an
-    (N, C, H, W) stack, labelled in one pass; the n-th list holds
-    class_ids[n]'s detections.
+    (N, C, H, W) stack, labelled in one pass; the n-th list holds the n-th
+    map's detections.
 
-    In each heat map, cells at or above peak_threshold * its max form
-    4-connected components; each becomes a box with confidence = component
-    peak. An all-nonpositive heat map yields no detections.
+    In each heat map, cells at or above BOX_LEVEL * its max form
+    4-connected components, as synth_episode draws its ground truth; each
+    becomes a box with confidence = component peak. An all-nonpositive heat
+    map yields no detections.
     """
     heat = fused.astype(np.float64).mean(axis=1)
     n, h, w = heat.shape
     peak = heat.max(axis=(1, 2))
-    mask = (heat >= (peak_threshold * peak)[:, None, None]) & (peak > 0)[:, None, None]
+    mask = (heat >= (BOX_LEVEL * peak)[:, None, None]) & (peak > 0)[:, None, None]
     out: list[list[Detection]] = [[] for _ in range(n)]
     cells = np.flatnonzero(mask)
     if not cells.size:
@@ -93,7 +95,7 @@ def detect_batch(fused: np.ndarray, peak_threshold: float,
     boxes = zip(*lo, *hi)  # (x1, y1, x2, y2)
     conf = np.maximum.reduceat(heat.ravel()[cells], starts).tolist()
     for img, box, peak_value in zip(images[starts].tolist(), boxes, conf):
-        out[img].append(Detection(class_ids[img], box, peak_value))
+        out[img].append(Detection(box, peak_value))
     for dets in out:
         dets.sort(key=lambda d: (-d.confidence, d.box))
     return out
@@ -137,7 +139,11 @@ class InferenceResult:
     selected: list[int]
     scores: dict[int, float]
     timings: dict[str, float] = field(default_factory=dict)
-    heavy_calls: int = 0
+
+    @property
+    def heavy_calls(self) -> int:
+        """The classes that went through fusion and detection."""
+        return len(self.selected)
 
 
 def run_inference(
@@ -145,7 +151,6 @@ def run_inference(
     proj: FusionProjector,
     episode: Episode,
     strategy: SelectionStrategy,
-    peak_threshold: float = 0.5,
 ) -> InferenceResult:
     """Score -> select -> heavy stage for the selected classes only.
 
@@ -155,8 +160,7 @@ def run_inference(
     levels aligned to the L4 grid. Scoring is everything the filter adds:
     the L4 query statistics, every class's confidence vector and the MLP.
     Fusion and detect each run once over the selected classes, whose ids
-    are their prototype rows. heavy_calls counts the classes that went
-    through fusion+detect (len(selected)).
+    are their prototype rows.
     """
     t0 = time.perf_counter()
     protos = prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
@@ -173,7 +177,7 @@ def run_inference(
     t4 = time.perf_counter()
     fused = fuse_batch(aligned, protos[selected], proj)
     t5 = time.perf_counter()
-    found = detect_batch(fused, peak_threshold, selected)
+    found = detect_batch(fused)
     t6 = time.perf_counter()
 
     detections: dict[int, list[Detection]] = {cid: [] for cid in episode.class_ids}
@@ -184,5 +188,4 @@ def run_inference(
         scores=scores,
         timings={"setup": (t1 - t0) + (t4 - t3), "scoring": t2 - t1,
                  "fusion": t5 - t4, "detect": t6 - t5},
-        heavy_calls=len(selected),
     )

@@ -79,6 +79,24 @@ class TestTrain:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--batch-size", "-5"], ["--batch-size", "0"], ["--epochs", "-1"],
+        ["--joint-epochs", "-2"], ["--hidden", "0"], ["--lr", "-1"],
+    ], ids=["batch-negative", "batch-zero", "epochs-negative", "joint-epochs-negative",
+            "hidden-zero", "lr-negative"])
+    def test_bad_number_rejected_before_training(self, tmp_path, pack, capsys, flags):
+        """A bad number exits 1 with one error line before any output or
+        training, and writes no checkpoint."""
+        out = tmp_path / "bad.ckpt"
+        code = main(["train", "--phases", "joint,tpf", "--joint-epochs", "1", "--epochs", "1",
+                     "--hidden", "16", "--pack", str(pack), "-o", str(out)] + flags)
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert not out.exists()
+
+
 class TestEval:
     def test_all_strategy_is_lossless(self, tmp_path, pack, ckpt, capsys):
         report = tmp_path / "report.json"
@@ -139,6 +157,7 @@ LABEL_ERRORS = {
     "query-id-list": "not a string",
     "query-id-repeated": "repeated",
     "box-infinite": "non-finite box",
+    "present-without-boxes": "has no ground-truth boxes",
     "present-fraction": "not an integer",
     "box-key-zero-padded": "not an integer",
 }
@@ -226,7 +245,8 @@ class TestMalformedInputs:
             meta["gt_boxes"]["99"] = [[0.0, 0.0, 1.0, 1.0]]
 
         _edit_manifest(pack, add_class_99)
-        assert "not candidate classes" in self._eval_error(pack, ckpt, capsys)
+        err = self._eval_error(pack, ckpt, capsys)
+        assert err.startswith(f"error: {pack}: episode 0: ") and "not candidate classes" in err
 
     @pytest.mark.parametrize("case", LABEL_ERRORS)
     def test_malformed_label(self, pack, ckpt, capsys, case):
@@ -234,7 +254,8 @@ class TestMalformedInputs:
         query id that is not a string or repeats another episode's (ground
         truth is keyed by it), an infinite box coordinate (Python's json
         reads Infinity), and a present class p + 0.5 or a gt_boxes key "0p",
-        which int() reads as p."""
+        which int() reads as p. A present class without ground-truth boxes
+        has nothing to match. Each error names the pack first."""
         def edit(man):
             first, second = man["episodes"][:2]
             key = next(iter(first["gt_boxes"]))
@@ -246,11 +267,15 @@ class TestMalformedInputs:
                 first["gt_boxes"][key][0][2] = math.inf
             elif case == "present-fraction":
                 first["present"][0] += 0.5
+            elif case == "present-without-boxes":
+                first["present"].append(min(set(range(man["num_classes"]))
+                                            - set(first["present"])))
             else:
                 first["gt_boxes"]["0" + key] = first["gt_boxes"].pop(key)
 
         _edit_manifest(pack, edit)
-        assert LABEL_ERRORS[case] in self._eval_error(pack, ckpt, capsys)
+        err = self._eval_error(pack, ckpt, capsys)
+        assert err.startswith(f"error: {pack}: ") and LABEL_ERRORS[case] in err
 
     @pytest.mark.parametrize("command", ["train", "eval", "bench"])
     def test_pack_without_episodes(self, tmp_path, pack, ckpt, capsys, command):
@@ -350,7 +375,7 @@ class TestConfigFile:
         "str",              # not an object
         {"top_n": 3.7},     # --top-n 3.7 is not an int
         {"top_n": "abc"},   # nor is --top-n abc
-        {"peak": [1]},      # a list is no command-line value
+        {"threshold": [1]},  # a list is no command-line value
         {"top_k": 3},       # no command has --top-k
     ], ids=["list", "string", "float-for-int", "text-for-int", "list-value", "unknown-key"])
     def test_malformed_config_rejected(self, tmp_path, pack, ckpt, capsys, config):

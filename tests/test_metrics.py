@@ -253,9 +253,9 @@ class TestSinglePassEvaluate:
         model, proj, episodes = self._pipeline()
         strategies = []
 
-        def counting(model, proj, ep, strategy, peak_threshold):
+        def counting(model, proj, ep, strategy):
             strategies.append(strategy)
-            return run_inference(model, proj, ep, strategy, peak_threshold)
+            return run_inference(model, proj, ep, strategy)
 
         monkeypatch.setattr("preselect.metrics.run_inference", counting)
         report = evaluate(model, proj, episodes, TopN(2))

@@ -177,6 +177,11 @@ class TestPredict:
         with pytest.raises(ValueError):
             ScoreModel(m.w1, m.b1, m.w2, m.b2, eps=eps)
 
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_init_rejects_empty_hidden_layer(self, hidden):
+        with pytest.raises(ValueError, match="hidden width"):
+            ScoreModel.init(4, hidden=hidden)
+
 
 class TestBatchedScoring:
     def test_matches_per_map(self):
@@ -560,10 +565,11 @@ class TestTrain:
             train(model, proj, [], TrainConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(negative_ratio=0)
+        for bad in ({"learning_rate": 0.0}, {"learning_rate": float("nan")},
+                    {"epochs": -1}, {"batch_size": 0}, {"batch_size": -5}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        assert TrainConfig(epochs=0, batch_size=1).epochs == 0
 
 
 def oracle_train(model, proj, episodes, cfg, round_levels=True):
@@ -583,7 +589,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
     joint = cfg.phase is Phase.JOINT
     losses = []
     for _ in range(cfg.epochs):
-        pairs = _sample_pairs(episodes, cfg.negative_ratio, rng)
+        pairs = _sample_pairs(episodes, rng)
         rng.shuffle(pairs)
         total, count = 0.0, 0
         for start in range(0, len(pairs), cfg.batch_size):

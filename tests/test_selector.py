@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from preselect.episodes import (
+    BOX_LEVEL,
     FusionProjector,
     SynthConfig,
+    _gaussian_blob,
     align_query,
     fuse_batch,
     prototype_matrices,
@@ -154,20 +156,19 @@ class TestDetectToy:
     def test_single_hot_cell(self):
         heat = np.zeros((1, 1, 4, 4), np.float32)
         heat[0, 0, 1, 2] = 5.0
-        dets = detect_batch(heat, 0.5, [7])[0]
+        dets = detect_batch(heat)[0]
         assert len(dets) == 1
         assert dets[0].box == (2.0, 1.0, 3.0, 2.0)
         assert dets[0].confidence == pytest.approx(5.0)
-        assert dets[0].class_id == 7
 
     def test_nonpositive_peak_yields_nothing(self):
-        assert detect_batch(np.full((1, 2, 3, 3), -1.0, np.float32), 0.5, [0]) == [[]]
+        assert detect_batch(np.full((1, 2, 3, 3), -1.0, np.float32)) == [[]]
 
     def test_two_separate_components(self):
         heat = np.zeros((1, 1, 5, 5), np.float32)
         heat[0, 0, 0, 0] = 4.0
         heat[0, 0, 4, 4] = 3.0
-        dets = detect_batch(heat, 0.5, [0])[0]
+        dets = detect_batch(heat)[0]
         assert len(dets) == 2
         # Sorted by confidence, descending.
         assert dets[0].confidence == pytest.approx(4.0)
@@ -178,23 +179,23 @@ class TestDetectToy:
         heat = np.zeros((1, 1, 3, 3), np.float32)
         heat[0, 0, 0, 0] = 2.0
         heat[0, 0, 1, 1] = 2.0
-        assert len(detect_batch(heat, 0.5, [0])[0]) == 2
+        assert len(detect_batch(heat)[0]) == 2
 
     def test_plus_shape_single_component(self):
         heat = np.zeros((1, 1, 3, 3), np.float32)
         for y, x in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
             heat[0, 0, y, x] = 3.0
-        dets = detect_batch(heat, 0.5, [0])[0]
+        dets = detect_batch(heat)[0]
         assert len(dets) == 1
         assert dets[0].box == (0.0, 0.0, 3.0, 3.0)
 
     def test_channel_mean_oracle(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((4, 6, 6)).astype(np.float32)
-        dets = detect_batch(data[None], 0.5, [0])[0]
+        dets = detect_batch(data[None])[0]
         heat = data.astype(np.float64).mean(axis=0)
         peak = heat.max()
-        n_cells = int((heat >= 0.5 * peak).sum())
+        n_cells = int((heat >= BOX_LEVEL * peak).sum())
         covered = sum(
             int((d.box[2] - d.box[0]) * (d.box[3] - d.box[1])) for d in dets
         )
@@ -202,16 +203,18 @@ class TestDetectToy:
         assert covered >= n_cells
         assert max(d.confidence for d in dets) == pytest.approx(peak)
 
-    def test_threshold_widens_boxes(self):
-        blob = np.exp(
-            -((np.arange(8)[:, None] - 4) ** 2 + (np.arange(8)[None, :] - 4) ** 2)
-            / 4.0
-        )
-        maps = np.float32(blob)[None, None]
-        tight = detect_batch(maps, 0.9, [0])[0][0].box
-        loose = detect_batch(maps, 0.2, [0])[0][0].box
-        assert loose[0] <= tight[0] and loose[1] <= tight[1]
-        assert loose[2] >= tight[2] and loose[3] >= tight[3]
+    def test_box_rule_matches_ground_truth(self):
+        """The detector boxes a lone blob as synth_episode boxes its ground
+        truth, over 200 draws of synth_episode's blob placement."""
+        rng = np.random.default_rng(31)
+        h, w = 8, 8
+        for _ in range(200):
+            cy, cx = rng.uniform(2.0, h - 2.0), rng.uniform(2.0, w - 2.0)
+            blob = _gaussian_blob(h, w, cy, cx, rng.uniform(0.8, 1.2))
+            dets = detect_batch(blob[None, None])[0]
+            ys, xs = np.nonzero(blob >= BOX_LEVEL * blob.max())
+            want = (float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
+            assert [d.box for d in dets] == [want]
 
 
 class TestLabel4:
@@ -256,14 +259,13 @@ class TestDetectBatch:
         rng = np.random.default_rng(23)
         maps = rng.standard_normal((12, 3, 7, 9)).astype(np.float32)
         maps[4] = -np.abs(maps[4])  # all-nonpositive heat map: no detections
-        ids = list(range(100, 112))
-        batch = detect_batch(maps, 0.4, ids)
+        batch = detect_batch(maps)
         assert batch[4] == []
-        for i, m in enumerate(maps):
-            assert batch[i] == detect_batch(m[None], 0.4, [ids[i]])[0]
+        for m, dets in zip(maps, batch):
+            assert dets == detect_batch(m[None])[0]
 
     def test_empty_batch(self):
-        assert detect_batch(np.zeros((0, 2, 4, 4), np.float32), 0.5, []) == []
+        assert detect_batch(np.zeros((0, 2, 4, 4), np.float32)) == []
 
 
 class TestRunInference:
@@ -282,6 +284,8 @@ class TestRunInference:
         res = run_inference(model, proj, ep, TopN(3))
         assert res.heavy_calls == 3
         assert len(res.selected) == 3
+        with pytest.raises(AttributeError):
+            res.heavy_calls = 0
 
     def test_unselected_classes_report_empty(self):
         model, proj, ep = self._setup()
