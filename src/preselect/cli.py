@@ -82,6 +82,8 @@ def cmd_train(args) -> int:
         )
         for phase in (Phase(p) for p in args.phases.split(",") if p)
     ]
+    if not configs:
+        raise ValueError(f"--phases {args.phases!r} names no phase")
     print(f"config {_config_hash(args)}")
     for tcfg in configs:
         model, proj, losses = train(model, proj, episodes, tcfg)

@@ -167,18 +167,20 @@ def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
                proj: FusionProjector) -> np.ndarray:
     """fuse_levels of the correlated levels of N classes at once.
 
-    aligned is align_query's output; protos is prototype_matrices' (N,
-    sum of C_l), in the same channel order. Correlation
-    commutes with the block average and the projection, so
-    fused_n = mean_l W_l diag(p_nl) X_l + b_l: one float64 contraction over
-    all levels' channels, with the biases as one more channel whose input
-    is 1. Returns (N, out_channels, H, W) float32, and ValueError if an
-    entry overflows it. np.matmul runs one fixed-shape gemm per class, so a
-    class's map does not depend on which other classes share the batch.
+    aligned is align_query's (sum of C_l, H, W) output, or N of them
+    stacked, one per class; protos is prototype_matrices' (N, sum of C_l),
+    in the same channel order. Correlation commutes with the block average
+    and the projection, so fused_n = mean_l W_l diag(p_nl) X_l + b_l: one
+    float64 contraction over all levels' channels, with the biases as one
+    more channel whose input is 1. Returns (N, out_channels, H, W)
+    float32, and ValueError if an entry overflows it. np.matmul runs one
+    fixed-shape gemm per class: a class's map does not depend on the batch.
     """
-    c, h, w = aligned.shape
+    *lead, c, h, w = aligned.shape
     n = len(protos)
-    x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
+    if lead not in ([], [n]):
+        raise ValueError(f"aligned queries {aligned.shape} for {n} prototype rows")
+    x = np.concatenate([aligned.reshape(*lead, c, h * w), np.ones((*lead, 1, h * w))], -2)
     bias = sum(proj.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
     weights = np.concatenate([proj.weights[lv] for lv in FEATURE_LEVELS]
                              + [bias[:, None]], axis=1)
@@ -215,6 +217,11 @@ class SynthConfig:
             raise ValueError("present_count must lie in [0, num_classes]")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not (math.isfinite(self.blob_amplitude) and self.blob_amplitude > 0):
+            raise ValueError(f"blob_amplitude must be finite and > 0, "
+                             f"got {self.blob_amplitude}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 _SIGNATURE_DECAY = 0.25

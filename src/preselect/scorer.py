@@ -6,15 +6,15 @@ average), then a small MLP (2C -> hidden -> 2) turns that vector into
 existence logits. The scorer has two forwards. Inference scores every
 candidate class of one query from that query's statistics and the
 classes' prototypes, without forming the maps (query_scores, in float32).
-Training scores maps it has formed (confidence_vectors_batch, then _mlp
-in float64). Backprop is written by hand: through the MLP, and through
-both pooling branches down to the input map so the fusion projections can
-be trained jointly.
+Training scores a batch of maps it has formed in one call (_map_loss:
+confidence_vectors_batch, then _mlp in float64), which loss_and_grads
+and the JOINT phase share. Backprop is written by hand: through the MLP,
+and through both pooling branches down to the input maps so the fusion
+projections can be trained jointly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -285,7 +285,13 @@ def loss_and_grads(
     if not batch:
         raise ValueError("batch must be nonempty")
     maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
-    labels = np.array([label for _, label in batch])
+    return _map_loss(model, maps, np.array([label for _, label in batch]), want_input_grads)
+
+
+def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
+              want_input_grads: bool) -> tuple[float, Gradients, np.ndarray | None]:
+    """loss_and_grads of (N, C, H, W) maps and their N labels; the input
+    gradient is taken at the weights the loss was."""
     loss, grads, dpre = _vector_loss(model, confidence_vectors_batch(maps, model.eps), labels)
     input_grads = None
     if want_input_grads:
@@ -387,11 +393,13 @@ def train(
     """Plain SGD over sampled (map, label) pairs; each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP.
 
-    JOINT updates both the scorer and the fusion projections (loss fed
-    by fused maps, fuse_batch); TPF_ONLY freezes the projections and
-    trains the scorer on the confidence vectors of L4 correlation maps,
-    each built once. Returns (model, projections, per-epoch mean losses);
-    inputs are not mutated.
+    A pair's row, its class's prototype row in JOINT and its L4 map's
+    confidence vector in TPF_ONLY, is built once, in the first epoch that
+    samples it, one call per episode. JOINT fuses each batch in one
+    fuse_batch call, on queries aligned once, and trains the scorer and
+    the fusion projections through _map_loss, as loss_and_grads does;
+    TPF_ONLY trains the scorer alone on the rows. Returns (model,
+    projections, per-epoch mean losses); inputs are not mutated.
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
@@ -399,89 +407,73 @@ def train(
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
-    cache: dict[tuple[int, int], np.ndarray] = {}
-    aligned: dict[int, np.ndarray] = {}
+    aligned = [align_query(ep.levels) for ep in episodes] if joint else []
+    rows: dict[tuple[int, int], np.ndarray] = {}
     losses: list[float] = []
-
-    def group_rows(ei: int, cids: list[int]) -> np.ndarray:
-        """The rows of classes cids in episode ei, stacked: prototype rows
-        in JOINT, L4 confidence vectors in TPF_ONLY. These never change
-        during a phase, so each (episode, class) row is built once, when it
-        is first sampled, with the episode's other new rows."""
-        ep = episodes[ei]
-        missing = [cid for cid in cids if (ei, cid) not in cache]
-        if missing:
-            new = prototype_matrices([ep.supports[cid] for cid in missing])
-            if not joint:
-                q4 = ep.levels[Level.L4].data
-                new = confidence_vectors_batch(new[:, -len(q4):, None, None] * q4, model.eps)
-            cache.update(((ei, cid), row) for cid, row in zip(missing, new))
-        return np.stack([cache[ei, cid] for cid in cids])
 
     for _ in range(cfg.epochs):
         pairs = _sample_pairs(episodes, rng)
         rng.shuffle(pairs)
+        missing: dict[int, list[int]] = {}
+        for ei, cid, _ in pairs:
+            if (ei, cid) not in rows:
+                missing.setdefault(ei, []).append(cid)
+        for ei, cids in missing.items():
+            ep = episodes[ei]
+            new = prototype_matrices([ep.supports[cid] for cid in cids])
+            if not joint:
+                q4 = ep.levels[Level.L4].data
+                new = confidence_vectors_batch(new[:, -len(q4):, None, None] * q4, model.eps)
+            rows.update(((ei, cid), row) for cid, row in zip(cids, new))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(pairs), cfg.batch_size):
-            # Episode order, so each episode's new classes are built, and
-            # its classes fused, in one array operation.
+        starts = range(0, len(pairs), cfg.batch_size)
+        for start in starts:
+            # Episode order fixes the order in which the batch's sums add up
+            # its pairs, and the trained bytes with it.
             chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
             labels = np.array([label for _, _, label in chunk])
-            groups = []
-            for ei, grp in itertools.groupby(chunk, key=lambda p: p[0]):
-                groups.append((ei, group_rows(ei, [cid for _, cid, _ in grp])))
-                if joint and ei not in aligned:
-                    aligned[ei] = align_query(episodes[ei].levels)
+            batch_rows = np.stack([rows[ei, cid] for ei, cid, _ in chunk])
             if joint:
-                maps = np.concatenate([fuse_batch(aligned[ei], rows, proj)
-                                       for ei, rows in groups])
-                v = confidence_vectors_batch(maps, model.eps)
+                queries = np.stack([aligned[ei] for ei, _, _ in chunk])
+                maps = fuse_batch(queries, batch_rows, proj)
+                loss, grads, input_grads = _map_loss(model, maps, labels, True)
             else:
-                v = np.concatenate([rows for _, rows in groups])
-
-            loss, grads, dpre = _vector_loss(model, v, labels)
+                loss, grads, _ = _vector_loss(model, batch_rows, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
-            n_batches += 1
 
             lr = cfg.learning_rate
             step = lr * _clip_scale(grads)
-            w1 = model.w1  # dLoss/dv is taken at the weights before the step
             model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
             model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
             model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
             model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
-
             if joint:
-                dv = dpre @ w1.astype(np.float64)
-                _apply_fusion_grads(proj, [(aligned[ei], rows) for ei, rows in groups],
-                                    confidence_backward_batch(maps, dv, model.eps), lr)
-        losses.append(epoch_loss / max(n_batches, 1))
+                _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr)
+        losses.append(epoch_loss / max(len(starts), 1))
     return model, proj, losses
 
 
 def _apply_fusion_grads(
     proj: FusionProjector,
-    groups: list[tuple[np.ndarray, np.ndarray]],
+    aligned: np.ndarray,
+    rows: np.ndarray,
     input_grads: np.ndarray,
     lr: float,
 ) -> None:
     """SGD step on the per-level projections given dLoss/dFusedMap.
 
-    groups holds, in batch order, each episode's aligned query X and the
-    prototype rows that fuse_batch fused it with. fuse_batch gives
-    fused_n = mean_l W_l diag(p_nl) X_l + b_l, so over the stacked level
-    channels gW = sum_n ((G_n / L) @ X^T) * p_n, with p_n the class's
-    prototype row: one contraction over the whole batch of the gradients
-    with the correlated inputs p_n X. Every level's bias gradient is
-    sum_n G_n 1 / L.
+    aligned (N, sum of C_l, H, W) and rows (N, sum of C_l) are the queries
+    and prototype rows fuse_batch fused, in batch order. It gave
+    fused_n = mean_l W_l diag(p_nl) X_nl + b_l, so over the stacked level
+    channels gW = sum_n ((G_n / L) @ X_n^T) * p_n: one contraction over the
+    batch of the gradients with the correlated inputs p_n X_n. Every
+    level's bias gradient is sum_n G_n 1 / L.
     """
     n, out = input_grads.shape[:2]
     g = input_grads.reshape(n, out, -1) / len(FEATURE_LEVELS)
-    x = np.concatenate([rows[:, :, None] * aligned.reshape(len(aligned), -1)
-                        for aligned, rows in groups])
+    x = rows[:, :, None] * aligned.reshape(n, rows.shape[1], -1)
     gw = np.tensordot(g, x, axes=([0, 2], [0, 2]))
     gb = g.sum(axis=(0, 2))
     start = 0

@@ -52,6 +52,25 @@ class TestGen:
         code = main(["gen", "--classes", "0", "-o", str(out)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--amplitude", "inf"], "blob_amplitude"), (["--amplitude", "nan"], "blob_amplitude"),
+        (["--amplitude", "-10"], "blob_amplitude"), (["--amplitude", "0"], "blob_amplitude"),
+        (["--sigma", "-1"], "noise_sigma"), (["--sigma", "inf"], "noise_sigma"),
+    ], ids=["amplitude-inf", "amplitude-nan", "amplitude-negative", "amplitude-zero",
+            "sigma-negative", "sigma-inf"])
+    def test_unusable_amplitude_or_sigma_rejected(self, tmp_path, capsys, flags, field):
+        """An amplitude that is not finite and positive, or a noise sigma
+        that is not finite and non-negative, exits 1 with one error line
+        naming the field and the value, and writes no pack."""
+        out = tmp_path / "bad.epk"
+        code = main(["gen", "--classes", "6", "--episodes", "2", "-o", str(out)] + flags)
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert field in err and repr(float(flags[1])) in err, err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_deterministic_checkpoint(self, tmp_path, pack):
@@ -82,11 +101,13 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ["--batch-size", "-5"], ["--batch-size", "0"], ["--epochs", "-1"],
         ["--joint-epochs", "-2"], ["--hidden", "0"], ["--lr", "-1"],
+        ["--phases", ""], ["--phases", ","],
     ], ids=["batch-negative", "batch-zero", "epochs-negative", "joint-epochs-negative",
-            "hidden-zero", "lr-negative"])
+            "hidden-zero", "lr-negative", "phases-empty", "phases-comma"])
     def test_bad_number_rejected_before_training(self, tmp_path, pack, capsys, flags):
-        """A bad number exits 1 with one error line before any output or
-        training, and writes no checkpoint."""
+        """A bad number, or a phase list that names no phase, exits 1 with
+        one error line before any output or training, and writes no
+        checkpoint."""
         out = tmp_path / "bad.ckpt"
         code = main(["train", "--phases", "joint,tpf", "--joint-epochs", "1", "--epochs", "1",
                      "--hidden", "16", "--pack", str(pack), "-o", str(out)] + flags)
