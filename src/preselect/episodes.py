@@ -2,19 +2,23 @@
 
 An episode bundles one query (multi-level feature maps) with k support
 shots per candidate class plus ground truth: which classes are actually
-present and where. Correlation against a class prototype is a depthwise
-channel product; level fusion downsamples everything to the coarsest
-grid, projects each level to a common channel count, and averages.
-Inference and training build the prototypes of a set of classes at once
-and fuse them in one contraction (prototype_matrices, align_query,
-fuse_batch). synth_episode boxes each planted blob by the half-maximum
-rule (BOX_LEVEL) that the detector applies to a fused heat map.
+present and where. Its shots hold one float32 (N, k, C, h, w) array per
+level, shot j of class i at [i, j]; its supports are per-shot FeatureMap
+views of them that only the benchmark reads. Correlation against a class
+prototype is a depthwise channel product; level fusion downsamples
+everything to the coarsest grid, projects each level to a common channel
+count, and averages. Inference and training build the prototypes of a
+set of classes at once and fuse them in one contraction
+(prototype_matrices, align_query, fuse_batch). synth_episode boxes each
+planted blob by the half-maximum rule (BOX_LEVEL) that the detector
+applies to a fused heat map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,26 +34,36 @@ Box = tuple[float, float, float, float]
 BOX_LEVEL = 0.5
 
 
+def stack_shape(shots: dict[Level, np.ndarray]) -> tuple[int, int]:
+    """The (N, k) that per-level float32 (N, k, C, h, w) support stacks
+    share, both at least 1, or ValueError. Class i is row i of every
+    per-class array."""
+    for lv, a in shots.items():
+        if not (isinstance(a, np.ndarray) and a.ndim == 5 and a.dtype == np.float32):
+            raise ValueError(f"{lv.value} support shots must be one rank-5 float32 array")
+    sizes = {a.shape[:2] for a in shots.values()}
+    if len(sizes) != 1 or 0 in next(iter(sizes)):
+        raise ValueError(f"support stacks must share one (classes, shots) of at least "
+                         f"(1, 1), got {sorted(sizes)}")
+    return next(iter(sizes))
+
+
 @dataclass(frozen=True)
 class Episode:
     query_id: str
     levels: dict[Level, FeatureMap]
-    supports: dict[int, list[dict[Level, FeatureMap]]]
+    shots: dict[Level, np.ndarray]
     present_classes: frozenset[int]
     gt_boxes: dict[int, list[Box]]
 
     def __post_init__(self):
         if not isinstance(self.query_id, str):
             raise ValueError(f"query id {self.query_id!r} is not a string")
-        # A class's id is its row in every per-class array.
-        if self.supports.keys() != set(range(len(self.supports))):
-            raise ValueError(f"candidate classes {list(self.supports)} are not "
-                             f"0..{len(self.supports) - 1}")
-        shot_counts = {len(shots) for shots in self.supports.values()}
-        if len(shot_counts) > 1 or 0 in shot_counts:
-            raise ValueError("every class needs the same number of support shots, "
-                             "at least one")
-        unknown = (self.present_classes | self.gt_boxes.keys()) - self.supports.keys()
+        stack_shape(self.shots)
+        for lv, a in self.shots.items():
+            if not np.isfinite(a).all():
+                raise ValueError(f"{lv.value} support shots contain non-finite entries")
+        unknown = (self.present_classes | self.gt_boxes.keys()) - set(self.class_ids)
         if unknown:
             raise ValueError(f"classes {sorted(unknown)} are not candidate classes")
         for cid in self.present_classes:
@@ -63,7 +77,14 @@ class Episode:
 
     @property
     def class_ids(self) -> list[int]:
-        return list(range(len(self.supports)))
+        return list(range(len(next(iter(self.shots.values())))))
+
+    @cached_property
+    def supports(self) -> dict[int, list[dict[Level, FeatureMap]]]:
+        """supports[i][j][lv]: shot j of class i, a FeatureMap view of shots[lv]."""
+        n, k = stack_shape(self.shots)
+        return {i: [{lv: FeatureMap(a[i, j]) for lv, a in self.shots.items()}
+                    for j in range(k)] for i in range(n)}
 
 
 @dataclass(frozen=True)
@@ -74,38 +95,27 @@ class ClassPrototype:
     vectors: dict[Level, np.ndarray]
 
 
-def prototype_matrices(supports: list[list[dict[Level, FeatureMap]]]) -> np.ndarray:
-    """The (N, sum of C_l) float32 prototypes of N classes with k shots
-    each: spatially average each shot, then mean over the class's shots.
-    The levels the shots carry are stacked along channels in FEATURE_LEVELS
-    order, as align_query stacks the query."""
-    k = len(supports[0]) if supports else 0
-    if k == 0 or any(len(shots) != k for shots in supports):
-        raise ValueError("every class needs the same number of support shots, "
-                         "at least one")
-    blocks = []
-    for level in (lv for lv in FEATURE_LEVELS if lv in supports[0][0]):
-        maps = [shot[level].data for shots in supports for shot in shots]
-        shapes = {m.shape for m in maps}
-        if len(shapes) != 1:
-            raise ValueError(f"support shots disagree on shape at {level}: "
-                             f"{sorted(shapes)}")
-        x = np.concatenate(maps, dtype=np.float64).reshape(len(maps), *maps[0].shape)
-        blocks.append(x.mean(axis=(2, 3)).astype(np.float32).reshape(len(supports), k, -1))
+def prototype_matrices(shots: dict[Level, np.ndarray]) -> np.ndarray:
+    """The (N, sum of C_l) float32 prototypes of the N classes of per-level
+    (N, k, C_l, h_l, w_l) support stacks: spatially average each shot, then
+    mean over the class's shots. The levels are stacked along channels in
+    FEATURE_LEVELS order, as align_query stacks the query."""
+    _, k = stack_shape(shots)
     # Per-shot means round to float32 and add up in shot order, as trained
     # checkpoints depend on.
-    means = np.concatenate(blocks, axis=2)
-    acc = np.zeros(means[:, 0].shape, dtype=np.float64)
-    for j in range(k):
-        acc += means[:, j]
-    return (acc / k).astype(np.float32)
+    means = np.concatenate([shots[lv].mean(axis=(3, 4), dtype=np.float64).astype(np.float32)
+                            for lv in FEATURE_LEVELS if lv in shots], axis=2)
+    return (sum(means[:, j].astype(np.float64) for j in range(k)) / k).astype(np.float32)
 
 
 def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:
     """Spatially average each shot, then mean over shots, per level:
     prototype_matrices for one class, split back into its levels."""
-    row = prototype_matrices([shots])[0]
+    if not shots:
+        raise ValueError("a class needs at least one support shot")
     levels = [lv for lv in FEATURE_LEVELS if lv in shots[0]]
+    row = prototype_matrices({lv: np.stack([shot[lv].data for shot in shots])[None]
+                              for lv in levels})[0]
     bounds = np.cumsum([shots[0][lv].channels for lv in levels])[:-1]
     return ClassPrototype(class_id, dict(zip(levels, np.split(row, bounds))))
 
@@ -268,7 +278,7 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
 
     Present classes plant a Gaussian blob aligned with their channel
     signature into the query features at every level (scaled to each
-    grid); supports carry the signature plus noise. A ground-truth box
+    grid); support shots carry the signature plus noise. A ground-truth box
     spans the blob's L4 cells at or above BOX_LEVEL times its peak, the
     rule the detector applies to the fused heat map.
     """
@@ -308,20 +318,14 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
             q += cfg.blob_amplitude * sigs[level][cid][:, None, None] * blob[None, :, :]
         levels[level] = FeatureMap(q.astype(np.float32))
 
-    supports: dict[int, list[dict[Level, FeatureMap]]] = {}
-    for cid in range(cfg.num_classes):
-        shots = []
-        for _ in range(cfg.k):
-            shot = {}
+    n, k = cfg.num_classes, cfg.k
+    shots = {lv: np.empty((n, k, CHANNELS[lv], *SUPPORT_GRIDS[lv]), np.float32)
+             for lv in FEATURE_LEVELS}
+    for cid in range(n):
+        for j in range(k):
             for level in FEATURE_LEVELS:
-                c = CHANNELS[level]
-                sh, sw = SUPPORT_GRIDS[level]
-                s = sigs[level][cid][:, None, None] + rng.standard_normal(
-                    (c, sh, sw)
-                ) * cfg.noise_sigma
-                shot[level] = FeatureMap(s.astype(np.float32))
-            shots.append(shot)
-        supports[cid] = shots
+                noise = rng.standard_normal(shots[level].shape[2:]) * cfg.noise_sigma
+                shots[level][cid, j] = sigs[level][cid][:, None, None] + noise
 
     gt_boxes: dict[int, list[Box]] = {}
     for cid, cy, cx, bsig in placements:
@@ -334,7 +338,7 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
     return Episode(
         query_id=f"synth-{seed}-{index}",
         levels=levels,
-        supports=supports,
+        shots=shots,
         present_classes=frozenset(present),
         gt_boxes=gt_boxes,
     )

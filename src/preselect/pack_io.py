@@ -24,10 +24,10 @@ episode. The reader checks the file size against the manifest before it
 reads any map ("truncated", "trailing" bytes), reads one record at a time
 and compares all its header words with the template's at once, reporting a
 mismatch with the byte offset of its map. Each level's support maps are
-copied out into one contiguous (N, k, C, h, w) array, and the episode's
-FeatureMaps are views of it. The manifest's class ids must be integers and
-its query ids distinct; an episode whose labels Episode rejects is reported
-with the pack path and the episode's index.
+copied out into one contiguous (N, k, C, h, w) array, the episode's shots
+at that level. The manifest's class ids must be integers and its query ids
+distinct; an episode that Episode rejects is reported with the pack path
+and the episode's index, and a non-finite map value with its byte offset.
 """
 
 from __future__ import annotations
@@ -117,21 +117,16 @@ def _template(dtype: np.dtype) -> np.ndarray:
 
 
 def _manifest(episodes: list[Episode], cfg: SynthConfig | None) -> dict:
-    levels_meta = {}
     first = episodes[0]
-    for lv in FEATURE_LEVELS:
-        q = first.levels[lv]
-        s = first.supports[0][0][lv]
-        levels_meta[lv.value] = {
-            "channels": q.channels,
-            "query_grid": [q.height, q.width],
-            "support_grid": [s.height, s.width],
-        }
+    num_classes, k = first.shots[FEATURE_LEVELS[0]].shape[:2]
     man = {
         "format": 1,
-        "num_classes": len(first.class_ids),
-        "k": len(first.supports[0]),
-        "levels": levels_meta,
+        "num_classes": num_classes,
+        "k": k,
+        "levels": {lv.value: {"channels": first.levels[lv].channels,
+                              "query_grid": list(first.levels[lv].data.shape[1:]),
+                              "support_grid": list(first.shots[lv].shape[3:])}
+                   for lv in FEATURE_LEVELS},
         "episodes": [
             {
                 "query_id": ep.query_id,
@@ -172,9 +167,7 @@ def write_pack(path, episodes: list[Episode], cfg: SynthConfig | None = None) ->
         for ep in episodes:
             for lv in FEATURE_LEVELS:
                 _put(rec[lv.value], ep.levels[lv].data)
-                _put(rec["shots"][lv.value],
-                     np.array([[shot[lv].data for shot in ep.supports[cid]]
-                               for cid in ep.class_ids]))
+                _put(rec["shots"][lv.value], ep.shots[lv])
             f.write(rec)
 
 
@@ -214,7 +207,6 @@ def read_pack(path) -> list[Episode]:
         # words are exactly the headers, four to a map, in record order.
         index = np.flatnonzero(words).reshape(-1, HEADER_WORDS)
         expected = words[index]
-        num_classes, k = dtype["shots"].shape
         episodes: dict[str, Episode] = {}
         for i, (query_id, present, gt_boxes) in enumerate(labels):
             if f.readinto(words) != words.nbytes:
@@ -226,18 +218,21 @@ def read_pack(path) -> list[Episode]:
                 raise ValueError(f"{path}: tensor at byte {start + 4 * int(index[i, 0])} "
                                  f"has rank/dims {found[i].tolist()}, "
                                  f"expected {expected[i].tolist()}")
-            levels = {lv: FeatureMap(np.array(rec[lv.value], np.float32))
-                      for lv in FEATURE_LEVELS}
-            stacked = {lv: np.array(rec["shots"][lv.value], np.float32, order="C")
-                       for lv in FEATURE_LEVELS}
-            supports = {cid: [{lv: FeatureMap(stacked[lv][cid, j]) for lv in FEATURE_LEVELS}
-                              for j in range(k)]
-                        for cid in range(num_classes)}
             try:
-                ep = Episode(query_id=query_id, levels=levels, supports=supports,
+                levels = {lv: FeatureMap(np.array(rec[lv.value], np.float32))
+                          for lv in FEATURE_LEVELS}
+                shots = {lv: np.array(rec["shots"][lv.value], np.float32, order="C")
+                         for lv in FEATURE_LEVELS}
+                ep = Episode(query_id=query_id, levels=levels, shots=shots,
                              present_classes=present, gt_boxes=gt_boxes)
             except ValueError as e:
-                raise ValueError(f"{path}: episode {i}: {e}") from None
+                # Header words read as floats are tiny and finite, so the
+                # record's first non-finite word is a map value.
+                values = words.view("<f4")
+                bad = np.flatnonzero(~np.isfinite(values))
+                what = (f"non-finite value {values[bad[0]]} at byte {start + 4 * int(bad[0])}"
+                        if bad.size else e)
+                raise ValueError(f"{path}: episode {i}: {what}") from None
             if episodes.setdefault(query_id, ep) is not ep:
                 raise ValueError(f"{path}: query id {query_id!r} is repeated")
             start += words.nbytes

@@ -420,7 +420,7 @@ def train(
                 missing.setdefault(ei, []).append(cid)
         for ei, cids in missing.items():
             ep = episodes[ei]
-            new = prototype_matrices([ep.supports[cid] for cid in cids])
+            new = prototype_matrices({lv: a[cids] for lv, a in ep.shots.items()})
             if not joint:
                 q4 = ep.levels[Level.L4].data
                 new = confidence_vectors_batch(new[:, -len(q4):, None, None] * q4, model.eps)

@@ -163,7 +163,7 @@ def run_inference(
     are their prototype rows.
     """
     t0 = time.perf_counter()
-    protos = prototype_matrices([episode.supports[cid] for cid in episode.class_ids])
+    protos = prototype_matrices(episode.shots)
     t1 = time.perf_counter()
     values = query_scores(model, episode.levels[Level.L4].data, protos)
     scores = dict(enumerate(values.tolist()))

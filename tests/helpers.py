@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from preselect.episodes import FusionProjector
+from preselect.episodes import FEATURE_LEVELS, Episode, FusionProjector
 from preselect.scorer import ScoreModel, _positive_probs, confidence_vectors_batch
-from preselect.tensor_ops import Level
+from preselect.tensor_ops import FeatureMap, Level
 
 
 def random_projector(channels: dict[Level, int], out_channels: int,
@@ -24,3 +24,27 @@ def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     the maps themselves: the reference for factored scoring
     (query_scores), which never forms them."""
     return _positive_probs(model, confidence_vectors_batch(maps, model.eps))
+
+
+# Channels and grids unlike the synthetic defaults: odd, unequal sides
+# and dims of 1, with a different channel count at every level.
+ODD_CHANNELS = {Level.L2: 3, Level.L3: 1, Level.L4: 5}
+ODD_QUERY = {Level.L2: (7, 5), Level.L3: (1, 9), Level.L4: (3, 3)}
+ODD_SUPPORT = {Level.L2: (3, 1), Level.L3: (5, 2), Level.L4: (1, 1)}
+
+
+def odd_episodes(n=2, num_classes=3, k=2, seed=0):
+    """Episodes built by hand at the ODD_* dims, random maps."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*lead, grids):
+        return {lv: rng.standard_normal((*lead, ODD_CHANNELS[lv], *grids[lv]),
+                                        dtype=np.float32)
+                for lv in FEATURE_LEVELS}
+
+    return [Episode(query_id=f"odd-{i}",
+                    levels={lv: FeatureMap(q) for lv, q in draw(grids=ODD_QUERY).items()},
+                    shots=draw(num_classes, k, grids=ODD_SUPPORT),
+                    present_classes=frozenset({i % num_classes}),
+                    gt_boxes={i % num_classes: [(0.0, 1.0, 2.0, 3.5)]})
+            for i in range(n)]

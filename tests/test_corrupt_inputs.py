@@ -1,7 +1,8 @@
 """Property tests of the readers through the CLI: a pack (EPK1) or a
 checkpoint (TPF1) cut at any offset, or with any one byte flipped, never
 gives a traceback. A cut file exits 1 with one `error:` line; a flipped
-byte exits 0, or 1 with one `error:` line.
+byte exits 0, or 1 with one `error:` line. A NaN map value in a pack exits
+1 with one line that names the pack, the episode and the value's offset.
 
 The examples are derandomized and bounded, so a run is deterministic and
 takes about two seconds.
@@ -84,3 +85,18 @@ def test_flipped_byte_anywhere(files, target):
             assert len(err) == 1 and err[0].startswith("error:"), err
 
     check()
+
+
+@pytest.mark.parametrize("where", ["query", "support"])
+def test_non_finite_map_value_named(files, where):
+    """A NaN in a map is one `error:` line naming the pack, the episode and
+    the value's byte offset: the first query value, or the last support
+    value."""
+    path, raw, first_value = files["pack"]
+    offset = first_value if where == "query" else len(raw) - 4
+    data = bytearray(raw)
+    data[offset : offset + 4] = struct.pack("<f", float("nan"))
+    code, err = _eval(files, "pack", bytes(data))
+    assert code == EXIT_VALIDATION
+    assert err == [f"error: {path.with_name('case-pack')}: episode 0: "
+                   f"non-finite value nan at byte {offset}"]

@@ -7,6 +7,7 @@ import pytest
 from preselect.episodes import (
     CHANNELS,
     FEATURE_LEVELS,
+    SUPPORT_GRIDS,
     Episode,
     FusionProjector,
     SynthConfig,
@@ -19,9 +20,10 @@ from preselect.episodes import (
     synth_episode,
     synth_episodes,
 )
+from preselect.pack_io import read_pack, write_pack
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import random_projector
+from helpers import odd_episodes, random_projector
 
 
 def fmap(arr):
@@ -70,64 +72,84 @@ class TestBuildPrototype:
             build_prototype(0, [])
 
 
-def loop_prototype(shots, level):
-    """One class's prototype the per-shot way: float64 mean of each shot,
-    rounded to float32, summed in shot order, divided by the shot count."""
-    acc = np.zeros(shots[0][level].channels, dtype=np.float64)
+def loop_prototype(shots):
+    """One class's prototype at one level from its (k, C, h, w) shots, the
+    per-shot way: float64 mean of each shot, rounded to float32, summed in
+    shot order, divided by the shot count."""
+    acc = np.zeros(shots.shape[1], dtype=np.float64)
     for shot in shots:
-        acc += shot[level].data.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+        acc += shot.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
     return (acc / len(shots)).astype(np.float32)
+
+
+def assert_loop_prototypes(ep):
+    """prototype_matrices of ep's stacks is, bitwise, every class's
+    loop_prototype per level, concatenated in FEATURE_LEVELS order."""
+    mats = prototype_matrices(ep.shots)
+    assert mats.dtype == np.float32
+    assert mats.shape == (len(ep.class_ids), sum(a.shape[2] for a in ep.shots.values()))
+    for i in ep.class_ids:
+        want = np.concatenate([loop_prototype(ep.shots[lv][i]) for lv in FEATURE_LEVELS])
+        assert mats[i].tobytes() == want.tobytes()
 
 
 class TestPrototypeMatrices:
     @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (7, 1, 1), (12, 5, 2)])
     def test_bitwise_equal_to_per_shot_loop(self, classes, k, seed):
         ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
-        mats = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
-        assert mats.dtype == np.float32 and mats.shape == (classes, sum(CHANNELS.values()))
-        start = 0
-        for lv in FEATURE_LEVELS:
-            mat = mats[:, start : start + ep.levels[lv].channels]
-            start += ep.levels[lv].channels
-            assert mat.shape == (classes, ep.levels[lv].channels)
-            for i, cid in enumerate(ep.class_ids):
-                want = loop_prototype(ep.supports[cid], lv)
-                assert mat[i].tobytes() == want.tobytes()
-                assert build_prototype(cid, ep.supports[cid]).vectors[lv].tobytes() == \
-                    want.tobytes()
+        assert prototype_matrices(ep.shots).shape == (classes, sum(CHANNELS.values()))
+        assert_loop_prototypes(ep)
+        for i in ep.class_ids:
+            proto = build_prototype(i, ep.supports[i])
+            for lv in FEATURE_LEVELS:
+                want = loop_prototype(ep.shots[lv][i])
+                assert proto.vectors[lv].tobytes() == want.tobytes()
+
+    def test_bitwise_equal_to_per_shot_loop_on_read_back_packs(self, tmp_path):
+        """On packs read back from disk: the synthetic dims, and the odd
+        channels and grids of the pack tests."""
+        path = tmp_path / "pack.epk"
+        for eps in (synth_episodes(SynthConfig(num_classes=9, k=4), 21, 3),
+                    odd_episodes(n=3, num_classes=4, k=3)):
+            write_pack(path, eps)
+            for ep in read_pack(path):
+                assert_loop_prototypes(ep)
 
     @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (5, 2, 3)])
     def test_rows_are_per_level_loop_in_align_query_order(self, classes, k, seed):
         """Each row is, bitwise, the per-level per-shot loop prototypes
         concatenated in the order align_query stacks the query channels."""
         ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
-        mats = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+        mats = prototype_matrices(ep.shots)
         order = (Level.L2, Level.L3, Level.L4)  # align_query's, see test_align_query_is_block_mean
         assert len(align_query(ep.levels)) == mats.shape[1]
-        for i, cid in enumerate(ep.class_ids):
-            want = np.concatenate([loop_prototype(ep.supports[cid], lv) for lv in order])
+        for i in ep.class_ids:
+            want = np.concatenate([loop_prototype(ep.shots[lv][i]) for lv in order])
             assert mats[i].tobytes() == want.tobytes()
 
     def test_odd_grids_and_negative_zero(self):
         rng = np.random.default_rng(10)
-        shots = [[make_shot(rng, 5, hw=(3, 5)) for _ in range(2)] for _ in range(4)]
-        shots[2][0][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
-        shots[2][1][Level.L4] = fmap(np.full((5, 3, 5), -0.0))
-        mat = prototype_matrices(shots)
-        for i, cls in enumerate(shots):
-            assert mat[i].tobytes() == loop_prototype(cls, Level.L4).tobytes()
+        stack = rng.standard_normal((4, 2, 5, 3, 5)).astype(np.float32)
+        stack[2] = -0.0
+        mat = prototype_matrices({Level.L4: stack})
+        for i, cls in enumerate(stack):
+            assert mat[i].tobytes() == loop_prototype(cls).tobytes()
 
     @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [1, 2, 3]])
     def test_rejects_ragged_shot_counts(self, counts):
+        """Levels whose stacks hold different shot counts, or none."""
         rng = np.random.default_rng(11)
-        shots = [[make_shot(rng, 3) for _ in range(n)] for n in counts]
-        with pytest.raises(ValueError, match="same number of support shots"):
+        shots = {lv: rng.standard_normal((2, n, 3, 2, 2)).astype(np.float32)
+                 for lv, n in zip(FEATURE_LEVELS, counts)}
+        with pytest.raises(ValueError, match="support s"):
             prototype_matrices(shots)
 
     def test_rejects_mismatched_shapes(self):
+        """Levels whose stacks hold different class counts."""
         rng = np.random.default_rng(12)
-        shots = [[make_shot(rng, 3)], [make_shot(rng, 3, hw=(2, 3))]]
-        with pytest.raises(ValueError, match="disagree on shape"):
+        shots = {Level.L3: rng.standard_normal((3, 1, 3, 2, 2)).astype(np.float32),
+                 Level.L4: rng.standard_normal((2, 1, 3, 2, 2)).astype(np.float32)}
+        with pytest.raises(ValueError, match="share one"):
             prototype_matrices(shots)
 
 
@@ -255,7 +277,7 @@ class TestFuseLevels:
             proj.biases = {lv: rng.standard_normal(out).astype(np.float32)
                            for lv in proj.biases}
             for ep in synth_episodes(cfg, 14, 3):
-                protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+                protos = prototype_matrices(ep.shots)
                 got = fuse_batch(align_query(ep.levels), protos, proj)
                 assert got.dtype == np.float32
                 assert got.shape == (9, out, 8, 8)
@@ -276,7 +298,7 @@ class TestFuseLevels:
         proj = random_projector(CHANNELS, 40, rng)
         proj.biases = {lv: rng.standard_normal(40).astype(np.float32) for lv in proj.biases}
         eps = synth_episodes(SynthConfig(num_classes=5, k=2), 17, 3)
-        protos = [prototype_matrices([ep.supports[cid] for cid in ep.class_ids]) for ep in eps]
+        protos = [prototype_matrices(ep.shots) for ep in eps]
         picks = [(0, 1), (2, 4), (1, 0), (0, 3), (2, 2), (1, 1)]  # (episode, class)
         queries = np.stack([align_query(eps[ei].levels) for ei, _ in picks])
         rows = np.stack([protos[ei][cid] for ei, cid in picks])
@@ -322,10 +344,8 @@ class TestSynthEpisode:
         assert a.gt_boxes == b.gt_boxes
         for lv in a.levels:
             np.testing.assert_array_equal(a.levels[lv].data, b.levels[lv].data)
-        for cid in a.supports:
-            for s1, s2 in zip(a.supports[cid], b.supports[cid]):
-                for lv in s1:
-                    np.testing.assert_array_equal(s1[lv].data, s2[lv].data)
+        for lv in a.shots:
+            np.testing.assert_array_equal(a.shots[lv], b.shots[lv])
 
     def test_no_present_classes(self):
         ep = synth_episode(SynthConfig(present_count=0), 1)
@@ -376,9 +396,24 @@ class TestSynthEpisode:
     def test_all_classes_have_k_shots(self):
         cfg = SynthConfig(k=2, num_classes=5)
         ep = synth_episode(cfg, 6)
-        assert sorted(ep.supports) == list(range(5))
-        for shots in ep.supports.values():
-            assert len(shots) == 2
+        assert ep.class_ids == list(range(5))
+        for lv in FEATURE_LEVELS:
+            stack = ep.shots[lv]
+            assert stack.shape == (5, 2, CHANNELS[lv], *SUPPORT_GRIDS[lv])
+            assert stack.dtype == np.float32 and stack.flags.c_contiguous
+
+    def test_supports_view_the_stacks(self):
+        """supports[i][j][lv] is shot j of class i at level lv, a view of
+        the episode's stack."""
+        ep = synth_episode(SynthConfig(k=3, num_classes=4), 6)
+        assert sorted(ep.supports) == ep.class_ids
+        for i, shots in ep.supports.items():
+            assert len(shots) == 3
+            for j, shot in enumerate(shots):
+                assert list(shot) == list(FEATURE_LEVELS)
+                for lv, fm in shot.items():
+                    assert np.shares_memory(fm.data, ep.shots[lv])
+                    assert fm.data.tobytes() == ep.shots[lv][i, j].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -396,18 +431,44 @@ class TestEpisodeInvariants:
             Episode(
                 query_id="bad",
                 levels=ep.levels,
-                supports=ep.supports,
+                shots=ep.shots,
                 present_classes=frozenset({0, 1}),
                 gt_boxes={},
             )
 
-    @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [2, 2, 1]])
-    def test_ragged_supports_rejected(self, counts):
-        ep = synth_episode(SynthConfig(num_classes=len(counts), k=4, present_count=0), 9)
-        supports = {cid: ep.supports[cid][:n] for cid, n in enumerate(counts)}
-        with pytest.raises(ValueError, match="same number of support shots"):
-            Episode(query_id="bad", levels=ep.levels, supports=supports,
-                    present_classes=frozenset(), gt_boxes={})
+    @staticmethod
+    def _with_shots(ep, **stacks):
+        """ep's levels and labels, with the named levels' stacks replaced."""
+        shots = {**ep.shots, **{Level(name): a for name, a in stacks.items()}}
+        return Episode(query_id="bad", levels=ep.levels, shots=shots,
+                       present_classes=frozenset(), gt_boxes={})
+
+    @pytest.mark.parametrize("cut", [(slice(0, 2),), (slice(None), slice(0, 1)),
+                                     (slice(None), slice(0, 0)), (slice(0, 0),)],
+                             ids=["fewer-classes", "fewer-shots", "no-shots", "no-classes"])
+    def test_stack_sizes_must_agree(self, cut):
+        """Every level's stack has the same class count and shot count,
+        both at least 1."""
+        ep = synth_episode(SynthConfig(num_classes=3, k=2, present_count=0), 9)
+        with pytest.raises(ValueError, match="support s"):
+            self._with_shots(ep, L3=ep.shots[Level.L3][cut])
+
+    @pytest.mark.parametrize("bad", ["float64", "rank4", "rank6", "list"])
+    def test_stack_must_be_rank5_float32(self, bad):
+        ep = synth_episode(SynthConfig(num_classes=3, k=2, present_count=0), 9)
+        stack = ep.shots[Level.L2]
+        stack = {"float64": stack.astype(np.float64), "rank4": stack[0],
+                 "rank6": stack[None], "list": stack.tolist()}[bad]
+        with pytest.raises(ValueError, match="L2 support shots must be one rank-5 float32"):
+            self._with_shots(ep, L2=stack)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_shot_rejected(self, value):
+        ep = synth_episode(SynthConfig(num_classes=3, k=2, present_count=0), 9)
+        stack = ep.shots[Level.L4].copy()
+        stack[2, 1, 5, 0, 1] = value
+        with pytest.raises(ValueError, match="L4 support shots contain non-finite"):
+            self._with_shots(ep, L4=stack)
 
     def test_degenerate_box_rejected(self):
         ep = synth_episode(SynthConfig(), 8)
@@ -416,20 +477,10 @@ class TestEpisodeInvariants:
             Episode(
                 query_id="bad",
                 levels=ep.levels,
-                supports=ep.supports,
+                shots=ep.shots,
                 present_classes=ep.present_classes,
                 gt_boxes={**ep.gt_boxes, cid: [(3.0, 2.0, 3.0, 4.0)]},
             )
-
-    @pytest.mark.parametrize("keys", [(0, 2), (1, 2)])
-    def test_classes_must_be_rows(self, keys):
-        """A class's id is its row in every per-class array, so the
-        candidate classes must be 0..N-1."""
-        ep = synth_episode(SynthConfig(num_classes=3, present_count=0), 11)
-        supports = {cid: ep.supports[cid] for cid in keys}
-        with pytest.raises(ValueError, match="not 0..1"):
-            Episode(query_id="bad", levels=ep.levels, supports=supports,
-                    present_classes=frozenset(), gt_boxes={})
 
     @pytest.mark.parametrize("field", ["present_classes", "gt_boxes"])
     def test_unknown_class_id_rejected(self, field):
@@ -441,5 +492,5 @@ class TestEpisodeInvariants:
         if field == "present_classes":
             present.add(99)
         with pytest.raises(ValueError, match="99"):
-            Episode(query_id="bad", levels=ep.levels, supports=ep.supports,
+            Episode(query_id="bad", levels=ep.levels, shots=ep.shots,
                     present_classes=frozenset(present), gt_boxes=boxes)

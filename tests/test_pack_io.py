@@ -11,12 +11,12 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_OK, main
-from preselect.episodes import Episode, SynthConfig, synth_episodes
+from preselect.episodes import SynthConfig, synth_episodes
 from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import ScoreModel
-from preselect.tensor_ops import FeatureMap, Level
+from preselect.tensor_ops import Level
 
-from helpers import random_projector, scores_batch
+from helpers import odd_episodes, random_projector, scores_batch
 
 
 def episodes_fixture(n=3, seed=0):
@@ -35,13 +35,10 @@ def assert_same_episodes(loaded, episodes):
             assert a.levels[lv].data.shape == b.levels[lv].data.shape
             assert (a.levels[lv].data == b.levels[lv].data).all()
         assert a.class_ids == b.class_ids
-        for cid in a.class_ids:
-            assert len(a.supports[cid]) == len(b.supports[cid])
-            for s1, s2 in zip(a.supports[cid], b.supports[cid]):
-                assert list(s1) == list(s2)
-                for lv in s1:
-                    assert s1[lv].data.shape == s2[lv].data.shape
-                    assert (s1[lv].data == s2[lv].data).all()
+        assert list(a.shots) == list(b.shots)
+        for lv in a.shots:
+            assert a.shots[lv].shape == b.shots[lv].shape
+            assert (a.shots[lv] == b.shots[lv]).all()
 
 
 def map_offsets(raw: bytes) -> list[int]:
@@ -92,6 +89,28 @@ class TestPackWire:
         with pytest.raises(ValueError, match=f"tensor at byte {offset} has rank/dims"):
             read_pack(pack)
 
+    @pytest.mark.parametrize("which", ["first_query", "middle_support", "last_record"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_episode_and_byte(self, pack, which, value):
+        """A non-finite map value fails with the pack, its episode's index
+        and its own byte offset: the first value of the first map, the
+        fifth of the L3 map of class 2's second shot in episode 1, and the
+        last value of the last episode."""
+        raw = pack.read_bytes()
+        at = map_offsets(raw)
+        per_episode = len(at) // 3
+        episode, offset = {"first_query": (0, at[0] + 16),
+                           "middle_support": (1, at[per_episode + 3 + 3 * (2 * 2 + 1) + 1]
+                                              + 16 + 4 * 4),
+                           "last_record": (2, len(raw) - 4)}[which]
+        bad = bytearray(raw)
+        bad[offset : offset + 4] = struct.pack("<f", value)
+        pack.write_bytes(bytes(bad))
+        with pytest.raises(ValueError) as e:
+            read_pack(pack)
+        assert str(e.value) == (f"{pack}: episode {episode}: non-finite value "
+                                f"{np.float32(value)} at byte {offset}")
+
     def test_cut_inside_episode_block(self, pack):
         raw = pack.read_bytes()
         at = map_offsets(raw)
@@ -104,30 +123,6 @@ class TestPackWire:
         pack.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match=f"trailing bytes at byte {len(raw)}"):
             read_pack(pack)
-
-
-# Channels and grids unlike the synthetic defaults: odd, unequal sides
-# and dims of 1, with a different channel count at every level.
-ODD_CHANNELS = {Level.L2: 3, Level.L3: 1, Level.L4: 5}
-ODD_QUERY = {Level.L2: (7, 5), Level.L3: (1, 9), Level.L4: (3, 3)}
-ODD_SUPPORT = {Level.L2: (3, 1), Level.L3: (5, 2), Level.L4: (1, 1)}
-
-
-def odd_episodes(n=2, num_classes=3, k=2, seed=0):
-    """Episodes built by hand at the ODD_* dims, random maps."""
-    rng = np.random.default_rng(seed)
-
-    def maps(grids):
-        return {lv: FeatureMap(rng.standard_normal((ODD_CHANNELS[lv], *grids[lv]),
-                                                   dtype=np.float32))
-                for lv in (Level.L2, Level.L3, Level.L4)}
-
-    return [Episode(query_id=f"odd-{i}", levels=maps(ODD_QUERY),
-                    supports={cid: [maps(ODD_SUPPORT) for _ in range(k)]
-                              for cid in range(num_classes)},
-                    present_classes=frozenset({i % num_classes}),
-                    gt_boxes={i % num_classes: [(0.0, 1.0, 2.0, 3.5)]})
-            for i in range(n)]
 
 
 class TestOddDims:
@@ -186,16 +181,19 @@ class TestEpisodePack:
             "968ff57c1178a737d0f33e935f746c11a11632830b64b19e0504229fa3154d24"
 
     def test_support_maps_share_one_array_per_level(self, tmp_path):
-        cfg, eps = episodes_fixture(n=1)
+        """Each level's shots come back as one C-contiguous float32
+        (N, k, C, h, w) array that owns its data: no view of the reader's
+        record buffer, which the next episode overwrites."""
+        cfg, eps = episodes_fixture(n=2)
         path = tmp_path / "pack.epk"
         write_pack(path, eps, cfg)
-        ep = read_pack(path)[0]
+        loaded = read_pack(path)
         for lv in (Level.L2, Level.L3, Level.L4):
-            bases = {id(shot[lv].data.base) for shots in ep.supports.values()
-                     for shot in shots}
-            assert len(bases) == 1
-            (base,) = {shot[lv].data.base.shape for shot in ep.supports[0]}
-            assert base == (5, 2, *ep.supports[0][0][lv].data.shape)
+            stacks = [ep.shots[lv] for ep in loaded]
+            for a in stacks:
+                assert a.shape == eps[0].shots[lv].shape and a.shape[:2] == (5, 2)
+                assert a.dtype == np.float32 and a.flags.c_contiguous and a.flags.owndata
+            assert not np.shares_memory(*stacks)
 
     def test_magic_bytes(self, tmp_path):
         _, eps = episodes_fixture(n=1)

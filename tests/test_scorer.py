@@ -230,7 +230,7 @@ class TestFactoredScoring:
         for seed, ep in enumerate(synth_episodes(cfg, 16, 6)):
             model = ScoreModel.init(64, hidden=64, seed=seed)
             q4 = ep.levels[Level.L4].data
-            protos = prototype_matrices([ep.supports[c] for c in ep.class_ids])
+            protos = prototype_matrices(ep.shots)
             want = scores_batch(model, q4[None] * protos[:, -len(q4):, None, None])
             got = query_scores(model, q4, protos)
             worst = max(worst, float(np.max(np.abs(got - want) / want)))

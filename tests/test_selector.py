@@ -319,9 +319,7 @@ class TestRunInference:
         big = dataclasses.replace(
             ep,
             levels={lv: FeatureMap(fm.data * 1e20) for lv, fm in ep.levels.items()},
-            supports={cid: [{lv: FeatureMap(fm.data * 1e20) for lv, fm in shot.items()}
-                            for shot in shots]
-                      for cid, shots in ep.supports.items()},
+            shots={lv: a * np.float32(1e20) for lv, a in ep.shots.items()},
         )
         with pytest.raises(ValueError, match="overflows float32"):
             run_inference(model, proj, big, TopN(2))
@@ -337,7 +335,7 @@ class TestRunInference:
                 {lv: ep.levels[lv].channels for lv in ep.levels}, 24,
                 np.random.default_rng(seed))
             full = run_inference(model, proj, ep, All())
-            protos = prototype_matrices([ep.supports[cid] for cid in ep.class_ids])
+            protos = prototype_matrices(ep.shots)
             aligned = align_query(ep.levels)
             full_fused = fuse_batch(aligned, protos, proj)
             for n in range(1, len(ep.class_ids) + 1):

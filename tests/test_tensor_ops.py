@@ -25,7 +25,7 @@ def random_map(rng, c, h, w):
 
 def spatial_average(m):
     """Per-channel spatial mean, as prototype_matrices takes it of one shot."""
-    return prototype_matrices([[{Level.L4: m}]])[0]
+    return prototype_matrices({Level.L4: m.data[None, None]})[0]
 
 
 def max_pool_average(data):
