@@ -37,9 +37,15 @@ def _strategy(args):
         return All()
     if args.strategy == "topn":
         return TopN(args.top_n)
-    if args.strategy == "adaptive":
-        return Adaptive(args.threshold)
-    raise ValueError(f"unknown strategy {args.strategy}")
+    return Adaptive(args.threshold)
+
+
+def _check_outputs(*paths) -> None:
+    """ValueError unless the directory of each given output path exists,
+    so that a command fails before it reads, prints or trains anything."""
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {path.parent}")
 
 
 def _synth_config(args) -> SynthConfig:
@@ -54,6 +60,7 @@ def _synth_config(args) -> SynthConfig:
 
 def cmd_gen(args) -> int:
     cfg = _synth_config(args)
+    _check_outputs(args.output)
     episodes = synth_episodes(cfg, args.seed, args.episodes)
     pack_io.write_pack(args.output, episodes, cfg)
     dims = {lv.value: episodes[0].levels[lv].data.shape for lv in episodes[0].levels}
@@ -64,14 +71,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    episodes = pack_io.read_pack(args.pack)
-    first = episodes[0]
-    channels = {lv: first.levels[lv].channels for lv in first.levels}
-    c4 = channels[Level.L4]
-    model = ScoreModel.init(c4, hidden=args.hidden, seed=args.seed)
-    proj = FusionProjector.identity(channels, c4)
-
-    # Every phase's config is checked before anything is printed or trained.
+    # Every phase's config and the output path are checked before anything
+    # is read, printed or trained.
     configs = [
         TrainConfig(
             learning_rate=args.joint_lr if phase is Phase.JOINT else args.lr,
@@ -84,6 +85,13 @@ def cmd_train(args) -> int:
     ]
     if not configs:
         raise ValueError(f"--phases {args.phases!r} names no phase")
+    _check_outputs(args.output)
+    episodes = pack_io.read_pack(args.pack)
+    first = episodes[0]
+    channels = {lv: first.levels[lv].channels for lv in first.levels}
+    c4 = channels[Level.L4]
+    model = ScoreModel.init(c4, hidden=args.hidden, seed=args.seed)
+    proj = FusionProjector.identity(channels, c4)
     print(f"config {_config_hash(args)}")
     for tcfg in configs:
         model, proj, losses = train(model, proj, episodes, tcfg)
@@ -111,6 +119,7 @@ def _train_accuracy(model, episodes) -> float:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs(args.recall_csv, args.report)
     model, proj = checkpoint.load_checkpoint(args.checkpoint)
     episodes = pack_io.read_pack(args.pack)
     report = evaluate(model, proj, episodes, _strategy(args), iou_threshold=args.iou)

@@ -79,7 +79,7 @@ class TimingRecord:
     scoring_seconds: float
     fusion_seconds: float
     detect_seconds: float
-    setup_seconds: float = 0.0
+    setup_seconds: float
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class FitResult:
     residual: float  # RMS of per-record prediction errors, seconds
 
 
-def measure(records: list[TimingRecord], n_ref: int | None = None) -> FitResult:
+def measure(records: list[TimingRecord], n_ref: int) -> FitResult:
     """Least-squares fit of a CostProfile from measured stage timings.
 
     Fusion and detect time are regressed together on [1, n_selected], one
@@ -116,7 +116,6 @@ def measure(records: list[TimingRecord], n_ref: int | None = None) -> FitResult:
     c_tpf = max(float(n_cand @ scoring) / denom, 0.0) if denom > 0 else 0.0
 
     setup = float(np.mean([r.setup_seconds for r in records]))
-    n_ref = n_ref or int(round(float(np.max(n_cand))))
 
     profile = CostProfile(
         t_backbone=max(setup + h0, 0.0),

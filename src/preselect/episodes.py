@@ -1,8 +1,9 @@
 """Synthetic episode generation and the simplified correlation pipeline.
 
 An episode bundles one query (multi-level feature maps) with k support
-shots per candidate class plus ground truth: which classes are actually
-present and where. Its shots hold one float32 (N, k, C, h, w) array per
+shots per candidate class plus ground truth: the boxes of each class in
+the query. Its present classes are the classes with at least one box, so
+the two cannot disagree. Its shots hold one float32 (N, k, C, h, w) array per
 level, shot j of class i at [i, j]; its supports are per-shot FeatureMap
 views of them that only the benchmark reads. Correlation against a class
 prototype is a depthwise channel product; level fusion downsamples
@@ -53,7 +54,6 @@ class Episode:
     query_id: str
     levels: dict[Level, FeatureMap]
     shots: dict[Level, np.ndarray]
-    present_classes: frozenset[int]
     gt_boxes: dict[int, list[Box]]
 
     def __post_init__(self):
@@ -63,12 +63,9 @@ class Episode:
         for lv, a in self.shots.items():
             if not np.isfinite(a).all():
                 raise ValueError(f"{lv.value} support shots contain non-finite entries")
-        unknown = (self.present_classes | self.gt_boxes.keys()) - set(self.class_ids)
+        unknown = self.gt_boxes.keys() - set(self.class_ids)
         if unknown:
             raise ValueError(f"classes {sorted(unknown)} are not candidate classes")
-        for cid in self.present_classes:
-            if not self.gt_boxes.get(cid):
-                raise ValueError(f"present class {cid} has no ground-truth boxes")
         for cid, boxes in self.gt_boxes.items():
             for x1, y1, x2, y2 in boxes:
                 if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
@@ -78,6 +75,11 @@ class Episode:
     @property
     def class_ids(self) -> list[int]:
         return list(range(len(next(iter(self.shots.values())))))
+
+    @cached_property
+    def present_classes(self) -> frozenset[int]:
+        """The classes with at least one ground-truth box."""
+        return frozenset(cid for cid, boxes in self.gt_boxes.items() if boxes)
 
     @cached_property
     def supports(self) -> dict[int, list[dict[Level, FeatureMap]]]:
@@ -169,7 +171,7 @@ def fuse_levels(maps: dict[Level, FeatureMap], proj: FusionProjector) -> Feature
 def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
     """The query levels block-averaged onto the L4 grid in float64 and
     stacked along channels in FEATURE_LEVELS order: (sum of C_l, H, W)."""
-    h, w = levels[Level.L4].height, levels[Level.L4].width
+    h, w = levels[Level.L4].data.shape[1:]
     return np.concatenate([block_mean(levels[lv].data, h, w) for lv in FEATURE_LEVELS])
 
 
@@ -339,7 +341,6 @@ def synth_episode(cfg: SynthConfig, seed: int, index: int = 0) -> Episode:
         query_id=f"synth-{seed}-{index}",
         levels=levels,
         shots=shots,
-        present_classes=frozenset(present),
         gt_boxes=gt_boxes,
     )
 

@@ -25,9 +25,14 @@ reads any map ("truncated", "trailing" bytes), reads one record at a time
 and compares all its header words with the template's at once, reporting a
 mismatch with the byte offset of its map. Each level's support maps are
 copied out into one contiguous (N, k, C, h, w) array, the episode's shots
-at that level. The manifest's class ids must be integers and its query ids
-distinct; an episode that Episode rejects is reported with the pack path
-and the episode's index, and a non-finite map value with its byte offset.
+at that level. The manifest must be a JSON object of format 1, with one
+rule per kind of value: a count, a dim, a present class id and the format
+are JSON integers (not bools, floats or strings), a gt_boxes key spells an
+integer in decimal, and a box coordinate is a JSON number. Query ids are
+distinct. An episode's present list must name exactly the classes that
+have boxes, and the first class that disagrees is named. An episode that
+Episode rejects is reported with the pack path and the episode's index,
+and a non-finite map value with its byte offset.
 """
 
 from __future__ import annotations
@@ -83,13 +88,14 @@ def read_floats(f: BufferedReader, shape) -> np.ndarray:
 def _record(man: dict) -> np.dtype:
     """The dtype of one episode's record, from the manifest's class count,
     shot count and per-level channels and query and support grids."""
-    num_classes, k = int(man["num_classes"]), int(man["k"])
+    num_classes, k = _int(man["num_classes"], "class count"), _int(man["k"], "shot count")
     query, support = [], []
     for lv in FEATURE_LEVELS:
         meta = man["levels"][lv.value]
-        c = int(meta["channels"])
-        (qh, qw), (sh, sw) = meta["query_grid"], meta["support_grid"]
-        for maps, shape in ((query, (c, int(qh), int(qw))), (support, (c, int(sh), int(sw)))):
+        c = _int(meta["channels"], f"{lv.value} channel count")
+        for maps, grid in ((query, "query_grid"), (support, "support_grid")):
+            h, w = meta[grid]
+            shape = (c, _int(h, f"{lv.value} {grid} dim"), _int(w, f"{lv.value} {grid} dim"))
             if min(shape) < 1:
                 raise ValueError(f"{lv.value} map dims {shape} must be positive")
             maps += [(f"{lv.value}_header", "<u4", (HEADER_WORDS,)), (lv.value, "<f4", shape)]
@@ -98,13 +104,27 @@ def _record(man: dict) -> np.dtype:
     return np.dtype(query + [("shots", support, (num_classes, k))])
 
 
-def _class_id(value) -> int:
-    """A class id of the manifest: an integer, or a gt_boxes key that
-    spells one in decimal. ValueError for 6.5, 6.0, True or "06"."""
-    cid = int(value)
-    if str(cid) != str(value):
-        raise ValueError(f"class id {value!r} is not an integer")
+def _int(value, what: str) -> int:
+    """A manifest integer: a JSON integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _class_key(key: str) -> int:
+    """A gt_boxes key: a class id spelled in decimal. ValueError for "6.0",
+    "06" or " 6"."""
+    cid = int(key)
+    if str(cid) != key:
+        raise ValueError(f"class id {key!r} is not an integer")
     return cid
+
+
+def _coordinate(value) -> float:
+    """A box coordinate: a JSON number, not a bool or string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"box coordinate {value!r} is not a number")
+    return float(value)
 
 
 def _template(dtype: np.dtype) -> np.ndarray:
@@ -178,13 +198,14 @@ def read_pack(path) -> list[Episode]:
         (mlen,) = struct.unpack("<I", read_exact(f, 4))
         require_bytes(f, mlen)
         man = json.loads(read_exact(f, mlen).decode())
-        if man.get("format") != 1:
-            raise ValueError(f"{path}: unsupported pack format {man.get('format')!r}")
+        fmt = man.get("format") if isinstance(man, dict) else None
+        if type(fmt) is not int or fmt != 1:
+            raise ValueError(f"{path}: unsupported pack format {fmt!r}")
         try:
             dtype = _record(man)
             labels = [
-                (meta["query_id"], frozenset(_class_id(cid) for cid in meta["present"]),
-                 {_class_id(cid): [tuple(float(v) for v in box) for box in boxes]
+                (meta["query_id"], frozenset(_int(c, "present class") for c in meta["present"]),
+                 {_class_key(cid): [tuple(map(_coordinate, box)) for box in boxes]
                   for cid, boxes in meta["gt_boxes"].items()})
                 for meta in man["episodes"]
             ]
@@ -224,7 +245,12 @@ def read_pack(path) -> list[Episode]:
                 shots = {lv: np.array(rec["shots"][lv.value], np.float32, order="C")
                          for lv in FEATURE_LEVELS}
                 ep = Episode(query_id=query_id, levels=levels, shots=shots,
-                             present_classes=present, gt_boxes=gt_boxes)
+                             gt_boxes=gt_boxes)
+                if present != ep.present_classes:
+                    cid = min(present ^ ep.present_classes)
+                    raise ValueError(f"present class {cid} has no ground-truth boxes"
+                                     if cid in present else
+                                     f"class {cid} has ground-truth boxes but is not present")
             except ValueError as e:
                 # Header words read as floats are tiny and finite, so the
                 # record's first non-finite word is a map value.

@@ -160,7 +160,10 @@ def run_inference(
     levels aligned to the L4 grid. Scoring is everything the filter adds:
     the L4 query statistics, every class's confidence vector and the MLP.
     Fusion and detect each run once over the selected classes, whose ids
-    are their prototype rows.
+    are their prototype rows. The 64-channel fused maps stand in for the
+    paper's per-class detection head. The toy detector reads only their
+    channel mean, but the maps are kept so that the heavy stage keeps the
+    paper's cost shape.
     """
     t0 = time.perf_counter()
     protos = prototype_matrices(episode.shots)

@@ -24,24 +24,15 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError(f"feature map must be rank 3, got {self.data.ndim}")
-        if self.data.dtype != np.float32:
-            object.__setattr__(self, "data", self.data.astype(np.float32))
-        if not np.isfinite(self.data).all():
+        a = self.data
+        if not (isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == np.float32):
+            raise ValueError("feature map must be one rank-3 float32 array")
+        if not np.isfinite(a).all():
             raise ValueError("feature map contains non-finite entries")
 
     @property
     def channels(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
 
 
 def block_mean(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:

@@ -45,6 +45,5 @@ def odd_episodes(n=2, num_classes=3, k=2, seed=0):
     return [Episode(query_id=f"odd-{i}",
                     levels={lv: FeatureMap(q) for lv, q in draw(grids=ODD_QUERY).items()},
                     shots=draw(num_classes, k, grids=ODD_SUPPORT),
-                    present_classes=frozenset({i % num_classes}),
                     gt_boxes={i % num_classes: [(0.0, 1.0, 2.0, 3.5)]})
             for i in range(n)]

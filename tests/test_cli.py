@@ -101,9 +101,9 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ["--batch-size", "-5"], ["--batch-size", "0"], ["--epochs", "-1"],
         ["--joint-epochs", "-2"], ["--hidden", "0"], ["--lr", "-1"],
-        ["--phases", ""], ["--phases", ","],
+        ["--phases", ""], ["--phases", ","], ["-o", "missing/m.ckpt"],
     ], ids=["batch-negative", "batch-zero", "epochs-negative", "joint-epochs-negative",
-            "hidden-zero", "lr-negative", "phases-empty", "phases-comma"])
+            "hidden-zero", "lr-negative", "phases-empty", "phases-comma", "output-dir-missing"])
     def test_bad_number_rejected_before_training(self, tmp_path, pack, capsys, flags):
         """A bad number, or a phase list that names no phase, exits 1 with
         one error line before any output or training, and writes no
@@ -137,6 +137,18 @@ class TestEval:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "class_id,recall"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("flag", ["--report", "--recall-csv"])
+    def test_missing_output_dir_rejected_before_eval(self, tmp_path, pack, ckpt, capsys, flag):
+        """An output in a directory that does not exist exits 1 with one
+        error line before any report line is printed."""
+        out = tmp_path / "missing" / "out"
+        code = main(["eval", "--checkpoint", str(ckpt), "--pack", str(pack), flag, str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert not out.parent.exists()
 
     def test_bad_checkpoint_magic(self, tmp_path, pack):
         bogus = tmp_path / "bogus.ckpt"
@@ -181,6 +193,14 @@ LABEL_ERRORS = {
     "present-without-boxes": "has no ground-truth boxes",
     "present-fraction": "not an integer",
     "box-key-zero-padded": "not an integer",
+    "box-for-absent-class": "has ground-truth boxes but is not present",
+    "box-strings": "not a number",
+    "box-bool": "not a number",
+    "present-string": "not an integer",
+    "shots-fraction": "not an integer",
+    "shots-string": "not an integer",
+    "classes-float": "not an integer",
+    "query-grid-fractions": "not an integer",
 }
 
 
@@ -253,7 +273,7 @@ class TestMalformedInputs:
         _edit_manifest(pack, lambda man: man["episodes"][0].pop(key))
         assert "malformed manifest" in self._eval_error(pack, ckpt, capsys)
 
-    @pytest.mark.parametrize("value", [float("inf"), 2**64, 0, -1])
+    @pytest.mark.parametrize("value", [float("inf"), 2**64, 0, -1, "32", 32.0, True])
     def test_manifest_dim_out_of_range(self, pack, ckpt, capsys, value):
         """An infinite, too large, zero or negative channel count."""
         _edit_manifest(pack, lambda man: man["levels"]["L3"].update(channels=value))
@@ -268,6 +288,18 @@ class TestMalformedInputs:
         _edit_manifest(pack, add_class_99)
         err = self._eval_error(pack, ckpt, capsys)
         assert err.startswith(f"error: {pack}: episode 0: ") and "not candidate classes" in err
+
+    @pytest.mark.parametrize("update", [{"format": True}, {"format": 1.0}, None],
+                             ids=["format-true", "format-float", "not-an-object"])
+    def test_unsupported_format(self, pack, ckpt, capsys, update):
+        """A manifest whose format is not the JSON integer 1, or that is
+        not a JSON object."""
+        raw = pack.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[4:8])
+        man = {**json.loads(raw[8 : 8 + mlen]), **update} if update else [1]
+        blob = json.dumps(man).encode()
+        pack.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+        assert "unsupported pack format" in self._eval_error(pack, ckpt, capsys)
 
     @pytest.mark.parametrize("case", LABEL_ERRORS)
     def test_malformed_label(self, pack, ckpt, capsys, case):
@@ -291,6 +323,24 @@ class TestMalformedInputs:
             elif case == "present-without-boxes":
                 first["present"].append(min(set(range(man["num_classes"]))
                                             - set(first["present"])))
+            elif case == "box-for-absent-class":
+                absent = min(set(range(man["num_classes"])) - set(first["present"]))
+                first["gt_boxes"][str(absent)] = [[0.0, 0.0, 1.0, 1.0]]
+            elif case == "box-strings":
+                first["gt_boxes"][key][0] = ["1", "1", "3", "3"]
+            elif case == "box-bool":
+                first["gt_boxes"][key][0] = [True, 1, 3, 3]
+            elif case == "present-string":
+                first["present"][0] = str(first["present"][0])
+            elif case == "shots-fraction":
+                man["k"] += 0.7
+            elif case == "shots-string":
+                man["k"] = str(man["k"])
+            elif case == "classes-float":
+                man["num_classes"] = float(man["num_classes"])
+            elif case == "query-grid-fractions":
+                h, w = man["levels"]["L4"]["query_grid"]
+                man["levels"]["L4"]["query_grid"] = [h + 0.9, w + 0.2]
             else:
                 first["gt_boxes"]["0" + key] = first["gt_boxes"].pop(key)
 

@@ -115,12 +115,12 @@ class TestMeasure:
     def test_rejects_single_record(self):
         records = self._synthetic_records(0.01, 0.03, 0.002, [10])
         with pytest.raises(ValueError):
-            measure(records)
+            measure(records, n_ref=20)
 
     def test_rejects_constant_selection(self):
         records = self._synthetic_records(0.01, 0.03, 0.002, [10, 10, 10])
         with pytest.raises(ValueError):
-            measure(records)
+            measure(records, n_ref=20)
 
     def test_fusion_detect_split_preserved(self):
         records = self._synthetic_records(0.0, 0.1, 0.001, [20, 10])

@@ -425,23 +425,11 @@ class TestSynthEpisode:
 
 
 class TestEpisodeInvariants:
-    def test_present_without_boxes_rejected(self):
-        ep = synth_episode(SynthConfig(), 7)
-        with pytest.raises(ValueError):
-            Episode(
-                query_id="bad",
-                levels=ep.levels,
-                shots=ep.shots,
-                present_classes=frozenset({0, 1}),
-                gt_boxes={},
-            )
-
     @staticmethod
     def _with_shots(ep, **stacks):
         """ep's levels and labels, with the named levels' stacks replaced."""
         shots = {**ep.shots, **{Level(name): a for name, a in stacks.items()}}
-        return Episode(query_id="bad", levels=ep.levels, shots=shots,
-                       present_classes=frozenset(), gt_boxes={})
+        return Episode(query_id="bad", levels=ep.levels, shots=shots, gt_boxes={})
 
     @pytest.mark.parametrize("cut", [(slice(0, 2),), (slice(None), slice(0, 1)),
                                      (slice(None), slice(0, 0)), (slice(0, 0),)],
@@ -478,19 +466,14 @@ class TestEpisodeInvariants:
                 query_id="bad",
                 levels=ep.levels,
                 shots=ep.shots,
-                present_classes=ep.present_classes,
                 gt_boxes={**ep.gt_boxes, cid: [(3.0, 2.0, 3.0, 4.0)]},
             )
 
-    @pytest.mark.parametrize("field", ["present_classes", "gt_boxes"])
-    def test_unknown_class_id_rejected(self, field):
+    def test_unknown_class_id_rejected(self):
         """Present classes and boxes must name candidate classes: recall
         would count a class that can never be selected."""
         ep = synth_episode(SynthConfig(num_classes=5), 10)
-        present, boxes = set(ep.present_classes), dict(ep.gt_boxes)
+        boxes = dict(ep.gt_boxes)
         boxes[99] = [(0.0, 0.0, 1.0, 1.0)]
-        if field == "present_classes":
-            present.add(99)
         with pytest.raises(ValueError, match="99"):
-            Episode(query_id="bad", levels=ep.levels, shots=ep.shots,
-                    present_classes=frozenset(present), gt_boxes=boxes)
+            Episode(query_id="bad", levels=ep.levels, shots=ep.shots, gt_boxes=boxes)

@@ -606,14 +606,14 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
                 for lv in FEATURE_LEVELS:
                     if round_levels:
                         c = correlate(ep.levels[lv], proto.vectors[lv]).data
-                        small = block_mean(c, q4.height, q4.width).astype(np.float32)
+                        small = block_mean(c, *q4.data.shape[1:]).astype(np.float32)
                     else:
-                        small = block_mean(ep.levels[lv].data, q4.height, q4.width)
+                        small = block_mean(ep.levels[lv].data, *q4.data.shape[1:])
                         small = proto.vectors[lv][:, None, None] * small
                     x[lv] = small.reshape(len(small), -1).astype(np.float64)
                 fused = np.mean([proj.weights[lv].astype(np.float64) @ x[lv]
                                  + proj.biases[lv][:, None] for lv in FEATURE_LEVELS], axis=0)
-                fused = fused.astype(np.float32).reshape(-1, q4.height, q4.width)
+                fused = fused.astype(np.float32).reshape(-1, *q4.data.shape[1:])
                 batch.append((FeatureMap(fused), label))
                 inputs.append(x)
             loss, grads, input_grads = loss_and_grads(model, batch, joint)

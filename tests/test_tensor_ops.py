@@ -156,3 +156,9 @@ class TestSharedInvariants:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             FeatureMap(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_feature_map_rejects_non_float32(self, dtype):
+        """A map of another dtype is rejected, not cast."""
+        with pytest.raises(ValueError, match="rank-3 float32"):
+            FeatureMap(np.ones((1, 2, 2), dtype))
