@@ -1,7 +1,8 @@
 """Command-line entry point: gen / train / eval / bench.
 
 A JSON config file may supply any long-option value; explicit flags win.
-Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
+141 (128 + SIGPIPE, as a shell reports it) when stdout's reader has exited.
 eval rounds its report to 4 decimals so runs diff cleanly; bench prints
 one JSON line of unrounded, non-deterministic timings.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .tensor_ops import Level
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+EXIT_CLOSED_PIPE = 141
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -309,7 +312,14 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has exited. Pointing stdout at devnull keeps the
+        # interpreter's own last flush from reporting the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except DivergenceError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

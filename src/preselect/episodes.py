@@ -193,16 +193,35 @@ def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
     if lead not in ([], [n]):
         raise ValueError(f"aligned queries {aligned.shape} for {n} prototype rows")
     x = np.concatenate([aligned.reshape(*lead, c, h * w), np.ones((*lead, 1, h * w))], -2)
+    fused = _fuse(x, protos, proj)
+    return fused.reshape(*fused.shape[:2], h, w)
+
+
+def _fuse(x: np.ndarray, protos: np.ndarray, proj: FusionProjector,
+          scaled: np.ndarray | None = None, product: np.ndarray | None = None,
+          fused: np.ndarray | None = None) -> np.ndarray:
+    """fuse_batch on its float64 operand x: the aligned queries with a last
+    channel of ones, (N, sum of C_l + 1, H*W) or one (sum of C_l + 1, H*W)
+    for all N. Returns the (N, out_channels, H*W) float32 maps. The scaled
+    weights (N, out, sum of C_l + 1), their float64 product with x and the
+    maps (both (N, out, H*W)) are written into the given arrays, or into
+    new ones where none is given."""
+    n = len(protos)
     bias = sum(proj.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
     weights = np.concatenate([proj.weights[lv] for lv in FEATURE_LEVELS]
                              + [bias[:, None]], axis=1)
     scales = np.concatenate([protos, np.ones((n, 1), np.float32)], axis=1)
     scales = scales / np.float64(len(FEATURE_LEVELS))
+    # A new scaled-weights array is freed before the maps are allocated:
+    # held longer, it made glibc map and unmap ~500 pages per inference call.
     with np.errstate(over="ignore"):
-        fused = np.matmul(weights * scales[:, None, :], x).astype(np.float32)
+        product = np.matmul(np.multiply(weights, scales[:, None, :], out=scaled), x, out=product)
+        if fused is None:
+            fused = np.empty(product.shape, np.float32)
+        np.copyto(fused, product, casting="same_kind")
     if not np.isfinite(fused).all():
         raise ValueError("fused map contains non-finite entries")
-    return fused.reshape(n, len(weights), h, w)
+    return fused
 
 
 # Synthetic feature dims per level: channels, and the (H, W) grids of a

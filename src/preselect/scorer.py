@@ -7,10 +7,12 @@ existence logits. The scorer has two forwards. Inference scores every
 candidate class of one query from that query's statistics and the
 classes' prototypes, without forming the maps (query_scores, in float32).
 Training scores a batch of maps it has formed in one call (_map_loss:
-confidence_vectors_batch, then _mlp in float64), which loss_and_grads
+the confidence vectors, then _mlp in float64), which loss_and_grads
 and the JOINT phase share. Backprop is written by hand: through the MLP,
 and through both pooling branches down to the input maps so the fusion
-projections can be trained jointly.
+projections can be trained jointly; the backward reuses the forward's
+row statistics. loss_and_grads returns new arrays; a JOINT train call
+runs every batch on work arrays it allocates once (_empty).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .episodes import (FEATURE_LEVELS, Episode, FusionProjector, align_query, fuse_batch,
+from .episodes import (FEATURE_LEVELS, Episode, FusionProjector, _fuse, align_query,
                        prototype_matrices)
 from .tensor_ops import FeatureMap, Level
 
@@ -73,6 +75,27 @@ class ScoreModel:
                           self.w2.copy(), self.b2.copy(), self.eps)
 
 
+# The arrays that one JOINT train call writes every batch into, so that no
+# batch allocates (and page-faults) its own float64 temporaries: one byte
+# buffer per name. Steps whose arrays are never live at the same time share
+# a name.
+_Work = dict[str, np.ndarray]
+
+
+def _empty(work: _Work | None, name: str, shape: tuple[int, ...],
+           dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of the given shape and dtype: a new one, or
+    the first bytes of work's buffer of that name, so that the last,
+    shorter batch uses a prefix. A buffer is allocated at its name's first
+    request, and again only for a larger one."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(work.get(name, ())) < size:
+        work[name] = np.empty(size, np.uint8)
+    return work[name][:size].view(dtype).reshape(shape)
+
+
 def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Confidence vectors [local, global] of a stack of maps.
 
@@ -81,23 +104,45 @@ def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     channel mean of the rectified map standardized by its mean and
     std + eps. Elementwise work is float32 with float64 accumulators.
     """
-    x = np.asarray(maps, dtype=np.float32)
+    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps)[0]
+
+
+def _confidence_vectors(x: np.ndarray, eps: float, work: _Work | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """confidence_vectors_batch of float32 maps x, with the row mean and
+    std (_row_stats) that confidence_backward_batch reuses."""
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
     ph, pw = h // 2, w // 2
     t = x[:, :, : ph * 2, : pw * 2]
-    pooled = np.maximum(
-        np.maximum(t[..., ::2, ::2], t[..., ::2, 1::2]),
-        np.maximum(t[..., 1::2, ::2], t[..., 1::2, 1::2]),
-    )
-    local = pooled.reshape(n, c, -1).mean(axis=2, dtype=np.float64)
+    pooled = np.maximum(t[..., ::2, ::2], t[..., ::2, 1::2],
+                        out=_empty(work, "pooled", (n, c, ph, pw), np.float32))
+    # The scratch arrays take the backward's "u", free until it starts.
+    np.maximum(pooled, np.maximum(t[..., 1::2, ::2], t[..., 1::2, 1::2],
+                                  out=_empty(work, "u", pooled.shape, np.float32)),
+               out=pooled)
+    v = np.empty((n, 2 * c))
+    pooled.reshape(n, c, -1).mean(axis=2, dtype=np.float64, out=v[:, :c])
     flat = x.reshape(n, c, -1)
-    mu = flat.mean(axis=2, keepdims=True, dtype=np.float64)
-    sd = flat.std(axis=2, keepdims=True, dtype=np.float64)
-    z = (flat - mu.astype(np.float32)) / (sd + eps).astype(np.float32)
-    glob = np.maximum(z, 0.0).mean(axis=2, dtype=np.float64)
-    return np.concatenate([local, glob], axis=1)
+    mu, sd = _row_stats(flat, work)
+    z = np.subtract(flat, mu.astype(np.float32), out=_empty(work, "u", flat.shape, np.float32))
+    z /= (sd + eps).astype(np.float32)
+    np.maximum(z, 0.0, out=z)
+    z.mean(axis=2, dtype=np.float64, out=v[:, c:])
+    return v, mu, sd
+
+
+def _row_stats(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and std over the last axis of x, as np.mean and np.std
+    compute them on x's float64 copy; for float32 x, these are the bytes
+    of x.mean and x.std with dtype=np.float64."""
+    d = _empty(work, "d", x.shape)
+    np.copyto(d, x)
+    mu = d.mean(axis=-1, keepdims=True)
+    d -= mu
+    np.square(d, out=d)
+    return mu, np.sqrt(d.sum(axis=-1, keepdims=True) / x.shape[-1])
 
 
 def query_stats(query: np.ndarray) -> np.ndarray:
@@ -175,47 +220,70 @@ def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
     Max-pool routes gradient to the first argmax in each window; the
     standardization Jacobian accounts for the mean and std terms.
     """
-    x = np.asarray(maps).astype(np.float64)
+    x = np.asarray(maps)
+    return _confidence_backward(x, grad_v, eps, *_row_stats(x.reshape(*x.shape[:2], -1)))
+
+
+def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, eps: float, mu: np.ndarray,
+                         sd: np.ndarray, work: _Work | None = None) -> np.ndarray:
+    """confidence_backward_batch of maps x, given _row_stats' mean and std
+    of their (N, C, H*W) rows."""
     n, ch, h, w = x.shape
     g = np.asarray(grad_v, dtype=np.float64)
-    grad_x = np.zeros_like(x)
 
-    # Local branch: a window's first argmax is the first of its cells, in
-    # (dy, dx) row-major order, that is >= every later one. copyto leaves
-    # the other cells at +0.0, where a multiply by a mask would give -0.0.
-    ph, pw = h // 2, w // 2
-    cells = [(slice(dy, ph * 2, 2), slice(dx, pw * 2, 2)) for dy in (0, 1) for dx in (0, 1)]
-    win = [x[:, :, dy, dx] for dy, dx in cells]
-    share = (g[:, :ch] / (ph * pw))[:, :, None, None]
-    free = np.ones(win[0].shape, dtype=bool)
-    for i, (dy, dx) in enumerate(cells):
-        take = free.copy()
-        for later in win[i + 1 :]:
-            take &= win[i] >= later
-        np.copyto(grad_x[:, :, dy, dx], share, where=take)
-        free &= ~take
-
-    # Global branch: avg(relu(standardize)), in place on (n * C, H * W)
-    # rows; each step is the float64 operation of the expression it stands for.
-    rows = x.reshape(n * ch, h * w)
-    mu = rows.mean(axis=1, keepdims=True)
-    sd = rows.std(axis=1, keepdims=True)
+    # Global branch: avg(relu(standardize)), on (n * C, H * W) rows; each
+    # step is the float64 operation of the expression it stands for.
+    rows = _empty(work, "d", (n * ch, h * w))
+    np.copyto(rows, x.reshape(n * ch, h * w))
+    rows -= mu.reshape(n * ch, 1)  # d
+    sd = sd.reshape(n * ch, 1)
     s = sd + eps
-    d = np.subtract(rows, mu, out=rows)
-    u = d / s  # z
-    np.multiply((g[:, ch:] / (h * w)).reshape(-1, 1), u > 0, out=u)  # dL/dz
+    u = np.divide(rows, s, out=_empty(work, "u", rows.shape))  # z
+    positive = np.greater(u, 0, out=_empty(work, "positive", rows.shape, bool))
+    np.multiply((g[:, ch:] / (h * w)).reshape(-1, 1), positive, out=u)  # dL/dz
     u_mean = u.mean(axis=1, keepdims=True)
-    ud = u * d
-    ud_mean = ud.mean(axis=1, keepdims=True)
+    # Fusion is done with "wide", so its array holds u * d.
+    ud_mean = np.multiply(u, rows, out=_empty(work, "wide", rows.shape)).mean(axis=1,
+                                                                             keepdims=True)
     # d sd / dx_q = d_q / (h * w * sd); zero-variance channels contribute
     # nothing (z == 0 there, so u == 0 as well).
     sd_safe = np.where(sd > 0, sd, 1.0)
     u -= u_mean
     u /= s  # (u - u_mean) / s
-    np.multiply(d, ud_mean, out=ud)
-    ud /= sd_safe * s * s  # d * ud_mean / (sd_safe * s * s)
-    u -= ud
-    grad_x += u.reshape(x.shape)
+    rows *= ud_mean
+    rows /= sd_safe * s * s  # d * ud_mean / (sd_safe * s * s)
+    u -= rows
+
+    # Local branch, on a cell-major copy of the maps' 2x2 windows: a
+    # window's first argmax is the first of its cells, in (dy, dx)
+    # row-major order, that is >= every later one. It gets the share, and
+    # the other cells get +0.0 (a multiply by a mask would give -0.0): the
+    # share's bits ANDed with all ones or all zeros, a select without a
+    # branch per cell. The global branch is done with "d" and "wide".
+    ph, pw = h // 2, w // 2
+
+    def cells(a):  # (2, 2, n, C, ph, pw) view of a's window cells
+        return (a[:, :, : ph * 2, : pw * 2].reshape(n, ch, ph, 2, pw, 2)
+                .transpose(3, 5, 0, 1, 2, 4))
+
+    win = _empty(work, "d", (4, n, ch, ph, pw), x.dtype)
+    np.copyto(win.reshape(2, 2, n, ch, ph, pw), cells(x))
+    free, take, test = _empty(work, "positive", (3, n, ch, ph, pw), bool)
+    free.fill(True)
+    local = _empty(work, "wide", (4, n, ch, ph, pw))
+    bits = local.view(np.int64)
+    share = (g[:, :ch] / (ph * pw)).view(np.int64)[:, :, None, None]
+    for i in range(4):
+        np.copyto(take, free)
+        for later in win[i + 1 :]:
+            take &= np.greater_equal(win[i], later, out=test)
+        np.subtract(0, take, out=bits[i], dtype=np.int64)
+        bits[i] &= share
+        free &= np.logical_not(take, out=test)
+    grad_x = rows.reshape(x.shape)
+    if h % 2 or w % 2:  # an odd last row or column gets 0.0 + u
+        np.add(u.reshape(x.shape), 0.0, out=grad_x)
+    np.add(local.reshape(2, 2, n, ch, ph, pw), cells(u.reshape(x.shape)), out=cells(grad_x))
     return grad_x
 
 
@@ -289,14 +357,18 @@ def loss_and_grads(
 
 
 def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
-              want_input_grads: bool) -> tuple[float, Gradients, np.ndarray | None]:
+              want_input_grads: bool, work: _Work | None = None
+              ) -> tuple[float, Gradients, np.ndarray | None]:
     """loss_and_grads of (N, C, H, W) maps and their N labels; the input
-    gradient is taken at the weights the loss was."""
-    loss, grads, dpre = _vector_loss(model, confidence_vectors_batch(maps, model.eps), labels)
+    gradient is taken at the weights the loss was. With work, the input
+    gradient is one of its arrays."""
+    x = np.asarray(maps, dtype=np.float32)
+    v, mu, sd = _confidence_vectors(x, model.eps, work)
+    loss, grads, dpre = _vector_loss(model, v, labels)
     input_grads = None
     if want_input_grads:
         dv = dpre @ model.w1.astype(np.float64)
-        input_grads = confidence_backward_batch(maps, dv, model.eps)
+        input_grads = _confidence_backward(x, dv, model.eps, mu, sd, work)
     return loss, grads, input_grads
 
 
@@ -396,8 +468,9 @@ def train(
     A pair's row, its class's prototype row in JOINT and its L4 map's
     confidence vector in TPF_ONLY, is built once, in the first epoch that
     samples it, one call per episode. JOINT fuses each batch in one
-    fuse_batch call, on queries aligned once, and trains the scorer and
-    the fusion projections through _map_loss, as loss_and_grads does;
+    contraction, fuse_batch's, on queries aligned once, and trains the
+    scorer and the fusion projections through _map_loss, as
+    loss_and_grads does, all in work arrays allocated once per call;
     TPF_ONLY trains the scorer alone on the rows. Returns (model,
     projections, per-epoch mean losses); inputs are not mutated.
     """
@@ -407,7 +480,8 @@ def train(
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
-    aligned = [align_query(ep.levels) for ep in episodes] if joint else []
+    aligned = [align_query(ep.levels) for ep in episodes] if joint and cfg.epochs else []
+    work: _Work = {}
     rows: dict[tuple[int, int], np.ndarray] = {}
     losses: list[float] = []
 
@@ -434,9 +508,9 @@ def train(
             labels = np.array([label for _, _, label in chunk])
             batch_rows = np.stack([rows[ei, cid] for ei, cid, _ in chunk])
             if joint:
-                queries = np.stack([aligned[ei] for ei, _, _ in chunk])
-                maps = fuse_batch(queries, batch_rows, proj)
-                loss, grads, input_grads = _map_loss(model, maps, labels, True)
+                maps, queries = _fuse_pairs(proj, [aligned[ei] for ei, _, _ in chunk],
+                                            batch_rows, work)
+                loss, grads, input_grads = _map_loss(model, maps, labels, True, work)
             else:
                 loss, grads, _ = _vector_loss(model, batch_rows, labels)
             if not np.isfinite(loss):
@@ -450,9 +524,28 @@ def train(
             model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
             model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
             if joint:
-                _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr)
+                _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr, work)
         losses.append(epoch_loss / max(len(starts), 1))
     return model, proj, losses
+
+
+def _fuse_pairs(proj: FusionProjector, queries: list[np.ndarray], rows: np.ndarray,
+                work: _Work) -> tuple[np.ndarray, np.ndarray]:
+    """fuse_batch of N aligned queries and their prototype rows, in work's
+    arrays: the (N, out, H, W) maps, and the queries as they were stacked,
+    (N, sum of C_l, H*W)."""
+    n, c = rows.shape
+    grid = queries[0].shape[1:]
+    hw = math.prod(grid)
+    x = _empty(work, "x", (n, c + 1, hw))
+    np.stack([q.reshape(c, hw) for q in queries], out=x[:, :c])
+    x[:, c] = 1.0
+    out = len(proj.biases[Level.L4])
+    # The product is spent once cast to the maps, before the forward
+    # takes "d".
+    maps = _fuse(x, rows, proj, _empty(work, "wide", (n, out, c + 1)),
+                 _empty(work, "d", (n, out, hw)), _empty(work, "maps", (n, out, hw), np.float32))
+    return maps.reshape(n, out, *grid), x[:, :c]
 
 
 def _apply_fusion_grads(
@@ -461,21 +554,31 @@ def _apply_fusion_grads(
     rows: np.ndarray,
     input_grads: np.ndarray,
     lr: float,
+    work: _Work | None = None,
 ) -> None:
     """SGD step on the per-level projections given dLoss/dFusedMap.
 
-    aligned (N, sum of C_l, H, W) and rows (N, sum of C_l) are the queries
-    and prototype rows fuse_batch fused, in batch order. It gave
+    aligned (N, sum of C_l, H, W), or (N, sum of C_l, H*W), and rows
+    (N, sum of C_l) are the queries and prototype rows fuse_batch fused,
+    in batch order. It gave
     fused_n = mean_l W_l diag(p_nl) X_nl + b_l, so over the stacked level
     channels gW = sum_n ((G_n / L) @ X_n^T) * p_n: one contraction over the
-    batch of the gradients with the correlated inputs p_n X_n. Every
-    level's bias gradient is sum_n G_n 1 / L.
+    batch of the gradients with the correlated inputs p_n X_n, laid out as
+    np.tensordot would lay them out for its np.dot. Every level's bias
+    gradient is sum_n G_n 1 / L. input_grads is divided by L in place.
     """
     n, out = input_grads.shape[:2]
-    g = input_grads.reshape(n, out, -1) / len(FEATURE_LEVELS)
-    x = rows[:, :, None] * aligned.reshape(n, rows.shape[1], -1)
-    gw = np.tensordot(g, x, axes=([0, 2], [0, 2]))
+    c = rows.shape[1]
+    g = input_grads.reshape(n, out, -1)
+    g /= len(FEATURE_LEVELS)
+    hw = g.shape[2]
     gb = g.sum(axis=(0, 2))
+    # The backward is done with "u", and fusion with "wide".
+    gt = _empty(work, "u", (out, n, hw))
+    np.copyto(gt, g.transpose(1, 0, 2))
+    x = np.multiply(rows[:, None, :], aligned.reshape(n, c, hw).transpose(0, 2, 1),
+                    out=_empty(work, "wide", (n, hw, c)))
+    gw = np.dot(gt.reshape(out, n * hw), x.reshape(n * hw, c))
     start = 0
     for lv in FEATURE_LEVELS:
         w = proj.weights[lv]

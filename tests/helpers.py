@@ -26,6 +26,27 @@ def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     return _positive_probs(model, confidence_vectors_batch(maps, model.eps))
 
 
+def confidence_vectors_oracle(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """confidence_vectors_batch as out-of-place expressions: the max-pool
+    as nested np.maximum of the window cells, and the row mean and std from
+    x.mean and x.std with float64 accumulators."""
+    x = np.asarray(maps, dtype=np.float32)
+    n, c, h, w = x.shape
+    ph, pw = h // 2, w // 2
+    t = x[:, :, : ph * 2, : pw * 2]
+    pooled = np.maximum(
+        np.maximum(t[..., ::2, ::2], t[..., ::2, 1::2]),
+        np.maximum(t[..., 1::2, ::2], t[..., 1::2, 1::2]),
+    )
+    local = pooled.reshape(n, c, -1).mean(axis=2, dtype=np.float64)
+    flat = x.reshape(n, c, -1)
+    mu = flat.mean(axis=2, keepdims=True, dtype=np.float64)
+    sd = flat.std(axis=2, keepdims=True, dtype=np.float64)
+    z = (flat - mu.astype(np.float32)) / (sd + eps).astype(np.float32)
+    glob = np.maximum(z, 0.0).mean(axis=2, dtype=np.float64)
+    return np.concatenate([local, glob], axis=1)
+
+
 # Channels and grids unlike the synthetic defaults: odd, unequal sides
 # and dims of 1, with a different channel count at every level.
 ODD_CHANNELS = {Level.L2: 3, Level.L3: 1, Level.L4: 5}

@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line interface: exit codes,
 determinism of generated artifacts, and config-file handling."""
 
+import io
 import json
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
-from preselect.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from preselect.cli import EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from preselect.tensor_ops import Level
 
 GEN_ARGS = ["gen", "--classes", "6", "--present", "2", "--episodes", "6",
@@ -415,6 +418,41 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: preselect"), err
         assert not any(tmp_path.iterdir())
+
+
+class TestClosedStdout:
+    class _ClosedPipe(io.TextIOBase):
+        """A stdout whose reader has exited: every write raises, as a write
+        to such a pipe does. Its file descriptor is a temporary file's."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_closed_stdout_exits_like_sigpipe(self, tmp_path, pack, ckpt, monkeypatch, capsys,
+                                              command):
+        """A reader that has gone ends the command with exit 141 and
+        nothing on stderr, and stdout's descriptor then points at devnull,
+        so the interpreter's last flush has nothing to report."""
+        capsys.readouterr()
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", self._ClosedPipe(fd))
+            code = main([command, "--checkpoint", str(ckpt), "--pack", str(pack),
+                         "--top-n", "3"])
+            os.write(fd, b"after")
+        finally:
+            os.close(fd)
+        assert code == EXIT_CLOSED_PIPE == 141
+        assert capsys.readouterr().err == ""
+        assert path.read_bytes() == b""
 
 
 class TestConfigFile:

@@ -13,8 +13,10 @@ from preselect.episodes import (
     FEATURE_LEVELS,
     FusionProjector,
     SynthConfig,
+    align_query,
     build_prototype,
     correlate,
+    fuse_batch,
     prototype_matrices,
     synth_episodes,
 )
@@ -38,7 +40,7 @@ from preselect.scorer import (
 )
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import random_projector, scores_batch
+from helpers import confidence_vectors_oracle, random_projector, scores_batch
 
 
 def fmap(arr):
@@ -62,6 +64,18 @@ def tiny_model(rng, channels=2, hidden=3):
 def vector(arr, eps=1e-5):
     """Confidence vector of one (C, H, W) map, through the batched path."""
     return confidence_vectors_batch(np.asarray(arr, np.float32)[None], eps)[0]
+
+
+MAP_SHAPES = [(32, 64, 8, 8), (3, 3, 5, 6), (2, 4, 3, 3), (4, 2, 2, 2)]
+
+
+def sample_maps(rng, shape):
+    """Random float32 maps, and integer maps full of tied windows with
+    constant channels and an all-zero map."""
+    tied = rng.integers(-2, 3, shape).astype(np.float32)
+    tied[:, 0] = 1.5
+    tied[0] = 0.0
+    return rng.standard_normal(shape).astype(np.float32), tied
 
 
 class TestRepresentations:
@@ -370,7 +384,7 @@ class TestGradients:
         want = [oracle_backward(maps[i], grad_v[i], eps) for i in range(3)]
         assert np.abs(got - np.array(want)).max() / np.abs(want).max() < 1e-12
 
-    @pytest.mark.parametrize("shape", [(32, 64, 8, 8), (3, 3, 5, 6), (2, 4, 3, 3), (4, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", MAP_SHAPES)
     def test_backward_bitwise_equal_to_mask_form(self, shape):
         """The window-compare local branch and the in-place global branch
         give the bytes of the argmax, one-hot mask and np.where form they
@@ -378,13 +392,32 @@ class TestGradients:
         zero-variance channels and +/-0.0 gradients."""
         rng = np.random.default_rng(sum(shape))
         n, c = shape[:2]
-        tied = rng.integers(-2, 3, shape).astype(np.float32)
-        tied[:, 0] = 1.5
-        tied[0] = 0.0
-        for maps in (rng.standard_normal(shape).astype(np.float32), tied):
+        for maps in sample_maps(rng, shape):
             for grad_v in (rng.standard_normal((n, 2 * c)), -np.zeros((n, 2 * c))):
                 got = confidence_backward_batch(maps, grad_v)
                 assert got.tobytes() == mask_form_backward(maps, grad_v).tobytes()
+
+    @pytest.mark.parametrize("shape", MAP_SHAPES)
+    def test_forward_bitwise_equal_to_oracle(self, shape):
+        """The forward written into given arrays, whose row mean and std the
+        backward reuses, gives the bytes of the out-of-place form on the
+        backward test's maps."""
+        rng = np.random.default_rng(sum(shape))
+        for maps in sample_maps(rng, shape):
+            got = confidence_vectors_batch(maps)
+            assert got.tobytes() == confidence_vectors_oracle(maps).tobytes()
+
+    def test_fresh_result_per_call(self):
+        """A second call leaves the arrays the first one returned as they were."""
+        rng = np.random.default_rng(15)
+        model = tiny_model(rng, channels=2, hidden=3)
+        first = [(random_map(rng, 2, 4, 4), i % 2) for i in range(3)]
+        second = [(random_map(rng, 2, 4, 4), i % 2) for i in range(3)]
+        _, grads, maps_grad = loss_and_grads(model, first, True)
+        kept = [a.copy() for a in (grads.w1, grads.b1, grads.w2, grads.b2, maps_grad)]
+        loss_and_grads(model, second, True)
+        for got, want in zip((grads.w1, grads.b1, grads.w2, grads.b2, maps_grad), kept):
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_mixed_shapes(self):
         rng = np.random.default_rng(14)
@@ -537,6 +570,41 @@ class TestTrain:
         # Positives recur in every epoch, so a per-sample build counts more.
         assert sum(built) == len(set(sampled)) < len(sampled)
 
+    def test_joint_zero_epochs_prepares_nothing(self, monkeypatch):
+        """JOINT with epochs=0 aligns no query and takes no work array."""
+        eps = small_episodes()
+        model, proj = fresh_state(eps)
+        calls = []
+        monkeypatch.setattr(scorer, "align_query",
+                            lambda *a: calls.append("align") or align_query(*a))
+        empty = scorer._empty
+        monkeypatch.setattr(scorer, "_empty",
+                            lambda *a, **k: calls.append("work") or empty(*a, **k))
+        out_model, out_proj, losses = train(model, proj, eps,
+                                            TrainConfig(epochs=0, phase=Phase.JOINT))
+        assert calls == [] and losses == []
+        for got, want in zip(_params(out_model, out_proj), _params(model, proj)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_joint_work_arrays_match_fresh_calls(self):
+        """JOINT batches run on arrays reused from batch to batch, the last
+        batch (2 of 32 pairs) on their prefixes. Two calls in a row both
+        give the bytes of a loop over calls that allocate every result:
+        fuse_batch, loss_and_grads and _apply_fusion_grads."""
+        eps = small_episodes(n=8)
+        model, proj = fresh_state(eps, seed=3)
+        proj = random_projector({lv: eps[0].levels[lv].channels for lv in eps[0].levels},
+                                len(proj.biases[Level.L4]), np.random.default_rng(6))
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=5, phase=Phase.JOINT,
+                          seed=7)
+        assert len(_sample_pairs(eps, np.random.default_rng(0))) % cfg.batch_size == 2
+        want_model, want_proj, want_losses = fresh_joint(model, proj, eps, cfg)
+        for _ in range(2):
+            got_model, got_proj, got_losses = train(model, proj, eps, cfg)
+            assert got_losses == want_losses
+            for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
+                assert got.tobytes() == want.tobytes()
+
     def test_step_norm_clipped(self):
         """One SGD step (one batch holds every pair) moves the scorer by
         lr * GRAD_CLIP in L2 when the gradient is larger than GRAD_CLIP,
@@ -638,6 +706,34 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
                     proj.weights[lv] = (proj.weights[lv] - lr * gw).astype(np.float32)
                     proj.biases[lv] = (proj.biases[lv] - lr * gb).astype(np.float32)
         losses.append(total / count)
+    return model, proj, losses
+
+
+def fresh_joint(model, proj, episodes, cfg):
+    """train's JOINT phase as a loop over calls that return new arrays:
+    the batch's aligned queries stacked, fuse_batch, loss_and_grads with
+    input gradients, the clipped scorer step, then _apply_fusion_grads."""
+    model, proj = model.copy(), proj.copy()
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        pairs = _sample_pairs(episodes, rng)
+        rng.shuffle(pairs)
+        total = []
+        for start in range(0, len(pairs), cfg.batch_size):
+            chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
+            rows = np.stack([prototype_matrices(episodes[ei].shots)[cid] for ei, cid, _ in chunk])
+            queries = np.stack([align_query(episodes[ei].levels) for ei, _, _ in chunk])
+            maps = fuse_batch(queries, rows, proj)
+            loss, grads, input_grads = loss_and_grads(
+                model, [(FeatureMap(m), label) for m, (_, _, label) in zip(maps, chunk)], True)
+            total.append(loss)
+            step = cfg.learning_rate * scorer._clip_scale(grads)
+            for name in ("w1", "b1", "w2", "b2"):
+                setattr(model, name, (getattr(model, name) - step * getattr(grads, name))
+                        .astype(np.float32))
+            scorer._apply_fusion_grads(proj, queries, rows, input_grads, cfg.learning_rate)
+        losses.append(sum(total) / len(total))
     return model, proj, losses
 
 
