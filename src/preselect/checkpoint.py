@@ -47,21 +47,22 @@ def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
 
 
 def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
+    """The model and projections of a checkpoint whose widths train could
+    have written; ValueError naming the file otherwise."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
         c, hidden, eps = struct.unpack("<IIf", read_exact(f, 12))
-        require_bytes(f, 4 * (hidden * (2 * c + 3) + 2))  # w1, b1, w2, b2
-        model = ScoreModel(
-            w1=read_floats(f, (hidden, 2 * c)),
-            b1=read_floats(f, (hidden,)),
-            w2=read_floats(f, (2, hidden)),
-            b2=read_floats(f, (2,)),
-            eps=float(eps),
-        )
+        shapes = ((hidden, 2 * c), (hidden,), (2, hidden), (2,))  # w1, b1, w2, b2
+        require_bytes(f, 4 * (hidden * (2 * c + 3) + 2))
+        layers = [read_floats(f, shape) for shape in shapes]
+        try:
+            model = ScoreModel(*layers, eps=float(eps))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         (n_levels,) = struct.unpack("<I", read_exact(f, 4))
         if n_levels != len(FEATURE_LEVELS):
-            raise ValueError(f"unexpected level count {n_levels}")
+            raise ValueError(f"{path}: unexpected level count {n_levels}")
         weights, biases = {}, {}
         for lv in FEATURE_LEVELS:
             c_in, c_out = struct.unpack("<II", read_exact(f, 8))
@@ -70,4 +71,7 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
             biases[lv] = read_floats(f, (c_out,))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes at byte {f.tell() - 1}")
+    widths = [len(b) for b in biases.values()]
+    if min(widths) < 1 or len(set(widths)) > 1:
+        raise ValueError(f"{path}: fusion output widths {widths} are not one width >= 1")
     return model, FusionProjector(weights, biases)

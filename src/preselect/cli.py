@@ -36,11 +36,16 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _strategy(args):
+    """The selection strategy the options name; ValueError naming the
+    option whose value it rejects."""
     if args.strategy == "all":
         return All()
-    if args.strategy == "topn":
-        return TopN(args.top_n)
-    return Adaptive(args.threshold)
+    flag, make, value = (("--top-n", TopN, args.top_n) if args.strategy == "topn"
+                         else ("--threshold", Adaptive, args.threshold))
+    try:
+        return make(value)
+    except ValueError as e:
+        raise ValueError(f"{flag} {value}: {e}") from None
 
 
 def _check_outputs(*paths) -> None:
@@ -122,10 +127,14 @@ def _train_accuracy(model, episodes) -> float:
 
 
 def cmd_eval(args) -> int:
+    # The options and output paths are checked before any file is read.
+    strategy = _strategy(args)
+    if not 0.0 < args.iou < 1.0:
+        raise ValueError(f"--iou {args.iou}: must lie in (0, 1)")
     _check_outputs(args.recall_csv, args.report)
     model, proj = checkpoint.load_checkpoint(args.checkpoint)
     episodes = pack_io.read_pack(args.pack)
-    report = evaluate(model, proj, episodes, _strategy(args), iou_threshold=args.iou)
+    report = evaluate(model, proj, episodes, strategy, iou_threshold=args.iou)
     chash = _config_hash(args)
     record = {
         "config": chash,
@@ -156,9 +165,9 @@ def cmd_bench(args) -> int:
     one JSON record: each loop's per-stage sums, the heavy ratio and scoring
     overhead formed from them, the fitted cost profile and the reference
     profile's prediction. Seconds are not rounded."""
+    loops = {"full": All(), "minor": _strategy(args)}
     model, proj = checkpoint.load_checkpoint(args.checkpoint)
     episodes = pack_io.read_pack(args.pack)
-    loops = {"full": All(), "minor": _strategy(args)}
     # One untimed query per loop, so that the first timed one runs warm.
     for strategy in loops.values():
         run_inference(model, proj, episodes[0], strategy)

@@ -179,20 +179,17 @@ def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
                proj: FusionProjector) -> np.ndarray:
     """fuse_levels of the correlated levels of N classes at once.
 
-    aligned is align_query's (sum of C_l, H, W) output, or N of them
-    stacked, one per class; protos is prototype_matrices' (N, sum of C_l),
-    in the same channel order. Correlation commutes with the block average
-    and the projection, so fused_n = mean_l W_l diag(p_nl) X_l + b_l: one
-    float64 contraction over all levels' channels, with the biases as one
-    more channel whose input is 1. Returns (N, out_channels, H, W)
-    float32, and ValueError if an entry overflows it. np.matmul runs one
-    fixed-shape gemm per class: a class's map does not depend on the batch.
+    aligned is align_query's (sum of C_l, H, W) output; protos is
+    prototype_matrices' (N, sum of C_l), in the same channel order.
+    Correlation commutes with the block average and the projection, so
+    fused_n = mean_l W_l diag(p_nl) X_l + b_l: one float64 contraction over
+    all levels' channels, with the biases as one more channel whose input
+    is 1. Returns (N, out_channels, H, W) float32, and ValueError if an
+    entry overflows it. np.matmul runs one fixed-shape gemm per class: a
+    class's map does not depend on the batch.
     """
-    *lead, c, h, w = aligned.shape
-    n = len(protos)
-    if lead not in ([], [n]):
-        raise ValueError(f"aligned queries {aligned.shape} for {n} prototype rows")
-    x = np.concatenate([aligned.reshape(*lead, c, h * w), np.ones((*lead, 1, h * w))], -2)
+    c, h, w = aligned.shape
+    x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
     fused = _fuse(x, protos, proj)
     return fused.reshape(*fused.shape[:2], h, w)
 

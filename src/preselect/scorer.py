@@ -10,9 +10,9 @@ Training scores a batch of maps it has formed in one call (_map_loss:
 the confidence vectors, then _mlp in float64), which loss_and_grads
 and the JOINT phase share. Backprop is written by hand: through the MLP,
 and through both pooling branches down to the input maps so the fusion
-projections can be trained jointly; the backward reuses the forward's
-row statistics. loss_and_grads returns new arrays; a JOINT train call
-runs every batch on work arrays it allocates once (_empty).
+projections can be trained jointly. Each step writes its arrays into a
+work dict (_empty): loss_and_grads passes a new one per call, and a JOINT
+train call one for all its batches.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ class ScoreModel:
         )
 
     def __post_init__(self):
+        hidden, width = self.w1.shape
+        shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2)]
+        if min(hidden, width) < 1 or width % 2 or shapes[1:] != [(hidden,), (2, hidden), (2,)]:
+            raise ValueError(f"layer shapes {shapes} are not (h, 2C), (h,), (2, h), (2,) "
+                             f"with a hidden width h >= 1 and C >= 1")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
@@ -75,21 +80,19 @@ class ScoreModel:
                           self.w2.copy(), self.b2.copy(), self.eps)
 
 
-# The arrays that one JOINT train call writes every batch into, so that no
-# batch allocates (and page-faults) its own float64 temporaries: one byte
-# buffer per name. Steps whose arrays are never live at the same time share
-# a name.
+# The arrays that one training step writes into, one byte buffer per name.
+# A JOINT train call keeps one dict for all its batches, so that no batch
+# allocates (and page-faults) its own float64 temporaries. Steps whose
+# arrays are never live at the same time share a name.
 _Work = dict[str, np.ndarray]
 
 
-def _empty(work: _Work | None, name: str, shape: tuple[int, ...],
+def _empty(work: _Work, name: str, shape: tuple[int, ...],
            dtype=np.float64) -> np.ndarray:
-    """An uninitialised array of the given shape and dtype: a new one, or
-    the first bytes of work's buffer of that name, so that the last,
-    shorter batch uses a prefix. A buffer is allocated at its name's first
-    request, and again only for a larger one."""
-    if work is None:
-        return np.empty(shape, dtype)
+    """An uninitialised array of the given shape and dtype: the first bytes
+    of work's buffer of that name, so that the last, shorter batch uses a
+    prefix. A buffer is allocated at its name's first request, and again
+    only for a larger one."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     if len(work.get(name, ())) < size:
         work[name] = np.empty(size, np.uint8)
@@ -104,13 +107,15 @@ def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     channel mean of the rectified map standardized by its mean and
     std + eps. Elementwise work is float32 with float64 accumulators.
     """
-    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps)[0]
+    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps, {})[0]
 
 
-def _confidence_vectors(x: np.ndarray, eps: float, work: _Work | None = None
+def _confidence_vectors(x: np.ndarray, eps: float, work: _Work
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """confidence_vectors_batch of float32 maps x, with the row mean and
-    std (_row_stats) that confidence_backward_batch reuses."""
+    """confidence_vectors_batch of float32 maps x, with the (N, C, 1) mean
+    and std of their rows that _confidence_backward takes: np.mean and
+    np.std of the rows' float64 copy, which are the bytes of x.mean and
+    x.std with dtype=np.float64."""
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
@@ -125,24 +130,17 @@ def _confidence_vectors(x: np.ndarray, eps: float, work: _Work | None = None
     v = np.empty((n, 2 * c))
     pooled.reshape(n, c, -1).mean(axis=2, dtype=np.float64, out=v[:, :c])
     flat = x.reshape(n, c, -1)
-    mu, sd = _row_stats(flat, work)
+    d = _empty(work, "d", flat.shape)
+    np.copyto(d, flat)
+    mu = d.mean(axis=-1, keepdims=True)
+    d -= mu
+    np.square(d, out=d)
+    sd = np.sqrt(d.sum(axis=-1, keepdims=True) / (h * w))
     z = np.subtract(flat, mu.astype(np.float32), out=_empty(work, "u", flat.shape, np.float32))
     z /= (sd + eps).astype(np.float32)
     np.maximum(z, 0.0, out=z)
     z.mean(axis=2, dtype=np.float64, out=v[:, c:])
     return v, mu, sd
-
-
-def _row_stats(x: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The mean and std over the last axis of x, as np.mean and np.std
-    compute them on x's float64 copy; for float32 x, these are the bytes
-    of x.mean and x.std with dtype=np.float64."""
-    d = _empty(work, "d", x.shape)
-    np.copyto(d, x)
-    mu = d.mean(axis=-1, keepdims=True)
-    d -= mu
-    np.square(d, out=d)
-    return mu, np.sqrt(d.sum(axis=-1, keepdims=True) / x.shape[-1])
 
 
 def query_stats(query: np.ndarray) -> np.ndarray:
@@ -212,22 +210,13 @@ def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray,
     return v
 
 
-def confidence_backward_batch(maps: np.ndarray, grad_v: np.ndarray,
-                              eps: float = 1e-5) -> np.ndarray:
-    """Gradient of the confidence vectors w.r.t. their (N, C, H, W) maps.
-
-    grad_v is (N, 2C), local half first; returns (N, C, H, W) float64.
-    Max-pool routes gradient to the first argmax in each window; the
-    standardization Jacobian accounts for the mean and std terms.
-    """
-    x = np.asarray(maps)
-    return _confidence_backward(x, grad_v, eps, *_row_stats(x.reshape(*x.shape[:2], -1)))
-
-
 def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, eps: float, mu: np.ndarray,
-                         sd: np.ndarray, work: _Work | None = None) -> np.ndarray:
-    """confidence_backward_batch of maps x, given _row_stats' mean and std
-    of their (N, C, H*W) rows."""
+                         sd: np.ndarray, work: _Work) -> np.ndarray:
+    """Gradient of the confidence vectors w.r.t. their (N, C, H, W) float32
+    maps x, given _confidence_vectors' row mean and std. grad_v is (N, 2C),
+    local half first; returns (N, C, H, W) float64, one of work's arrays.
+    Max-pool routes gradient to the first argmax in each window; the
+    standardization Jacobian accounts for the mean and std terms."""
     n, ch, h, w = x.shape
     g = np.asarray(grad_v, dtype=np.float64)
 
@@ -353,15 +342,16 @@ def loss_and_grads(
     if not batch:
         raise ValueError("batch must be nonempty")
     maps = np.stack([c.data for c, _ in batch])  # ValueError on mixed shapes
-    return _map_loss(model, maps, np.array([label for _, label in batch]), want_input_grads)
+    return _map_loss(model, maps, np.array([label for _, label in batch]), want_input_grads,
+                     {})
 
 
 def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
-              want_input_grads: bool, work: _Work | None = None
+              want_input_grads: bool, work: _Work
               ) -> tuple[float, Gradients, np.ndarray | None]:
     """loss_and_grads of (N, C, H, W) maps and their N labels; the input
-    gradient is taken at the weights the loss was. With work, the input
-    gradient is one of its arrays."""
+    gradient is taken at the weights the loss was, and is one of work's
+    arrays."""
     x = np.asarray(maps, dtype=np.float32)
     v, mu, sd = _confidence_vectors(x, model.eps, work)
     loss, grads, dpre = _vector_loss(model, v, labels)
@@ -531,9 +521,9 @@ def train(
 
 def _fuse_pairs(proj: FusionProjector, queries: list[np.ndarray], rows: np.ndarray,
                 work: _Work) -> tuple[np.ndarray, np.ndarray]:
-    """fuse_batch of N aligned queries and their prototype rows, in work's
-    arrays: the (N, out, H, W) maps, and the queries as they were stacked,
-    (N, sum of C_l, H*W)."""
+    """Each of N prototype rows fused on its own aligned query, with
+    fuse_batch's arithmetic and bytes, in work's arrays: the (N, out, H, W)
+    maps, and the queries as they were stacked, (N, sum of C_l, H*W)."""
     n, c = rows.shape
     grid = queries[0].shape[1:]
     hw = math.prod(grid)
@@ -554,29 +544,27 @@ def _apply_fusion_grads(
     rows: np.ndarray,
     input_grads: np.ndarray,
     lr: float,
-    work: _Work | None = None,
+    work: _Work,
 ) -> None:
     """SGD step on the per-level projections given dLoss/dFusedMap.
 
-    aligned (N, sum of C_l, H, W), or (N, sum of C_l, H*W), and rows
-    (N, sum of C_l) are the queries and prototype rows fuse_batch fused,
-    in batch order. It gave
+    aligned (N, sum of C_l, H*W) and rows (N, sum of C_l) are the queries
+    and prototype rows _fuse_pairs fused, in batch order. It gave
     fused_n = mean_l W_l diag(p_nl) X_nl + b_l, so over the stacked level
     channels gW = sum_n ((G_n / L) @ X_n^T) * p_n: one contraction over the
     batch of the gradients with the correlated inputs p_n X_n, laid out as
     np.tensordot would lay them out for its np.dot. Every level's bias
     gradient is sum_n G_n 1 / L. input_grads is divided by L in place.
     """
-    n, out = input_grads.shape[:2]
-    c = rows.shape[1]
-    g = input_grads.reshape(n, out, -1)
+    n, c, hw = aligned.shape
+    out = input_grads.shape[1]
+    g = input_grads.reshape(n, out, hw)
     g /= len(FEATURE_LEVELS)
-    hw = g.shape[2]
     gb = g.sum(axis=(0, 2))
     # The backward is done with "u", and fusion with "wide".
     gt = _empty(work, "u", (out, n, hw))
     np.copyto(gt, g.transpose(1, 0, 2))
-    x = np.multiply(rows[:, None, :], aligned.reshape(n, c, hw).transpose(0, 2, 1),
+    x = np.multiply(rows[:, None, :], aligned.transpose(0, 2, 1),
                     out=_empty(work, "wide", (n, hw, c)))
     gw = np.dot(gt.reshape(out, n * hw), x.reshape(n * hw, c))
     start = 0

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from preselect import checkpoint, pack_io
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from preselect.tensor_ops import Level
@@ -379,7 +380,35 @@ class TestMalformedInputs:
         raw = bytearray(ckpt.read_bytes())
         raw[12:16] = struct.pack("<f", 0.0)
         ckpt.write_bytes(bytes(raw))
-        assert "eps" in self._eval_error(pack, ckpt, capsys)
+        err = self._eval_error(pack, ckpt, capsys)
+        assert err.startswith(f"error: {ckpt}: ") and "eps" in err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("case", ["hidden-zero", "fusion-zero", "fusion-l2-narrow"])
+    def test_width_train_cannot_write(self, pack, ckpt, capsys, case, command):
+        """A scorer of hidden width 0, fusion levels of output width 0, or
+        an L2 projection 10 wide against the others' 64: the load rejects
+        each, naming the file, before a score or a fused map is computed."""
+        if case == "hidden-zero":
+            raw = ckpt.read_bytes()
+            c, hidden, eps = struct.unpack("<IIf", raw[4:16])
+            b2 = 16 + 4 * hidden * (2 * c + 3)
+            ckpt.write_bytes(raw[:4] + struct.pack("<IIf", c, 0, eps) + raw[b2:])
+            want = "hidden width"
+        else:
+            model, proj = load_checkpoint(ckpt)
+            for lv in (Level.L2,) if case == "fusion-l2-narrow" else proj.weights:
+                rows = 10 if case == "fusion-l2-narrow" else 0
+                proj.weights[lv] = proj.weights[lv][:rows]
+                proj.biases[lv] = proj.biases[lv][:rows]
+            save_checkpoint(ckpt, model, proj)
+            want = "fusion output widths"
+        code = main([command, "--checkpoint", str(ckpt), "--pack", str(pack), "--top-n", "3"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {ckpt}: ") and want in err, err
 
     @pytest.mark.parametrize("command", ["eval", "bench"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -418,6 +447,30 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: preselect"), err
         assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("args,flag", [
+        (["eval", "--iou", "0"], "--iou"),
+        (["eval", "--iou", "1"], "--iou"),
+        (["eval", "--top-n", "0"], "--top-n"),
+        (["eval", "--strategy", "adaptive", "--threshold", "1.5"], "--threshold"),
+        (["bench", "--top-n", "0"], "--top-n"),
+        (["bench", "--strategy", "adaptive", "--threshold", "-0.1"], "--threshold"),
+    ], ids=["eval-iou-zero", "eval-iou-one", "eval-top-n-zero", "eval-threshold-above-one",
+            "bench-top-n-zero", "bench-threshold-negative"])
+    def test_option_rejected_before_any_read(self, monkeypatch, capsys, args, flag):
+        """eval and bench check their selection and IoU options before they
+        load the checkpoint or read the pack, as train checks its configs."""
+        def unreachable(path):
+            raise AssertionError(f"read {path} before checking the options")
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", unreachable)
+        monkeypatch.setattr(pack_io, "read_pack", unreachable)
+        code = main(args + ["--checkpoint", "m.ckpt", "--pack", "p.epk"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} "), err
 
 
 class TestClosedStdout:

@@ -21,6 +21,7 @@ from preselect.episodes import (
     synth_episodes,
 )
 from preselect.pack_io import read_pack, write_pack
+from preselect.scorer import _fuse_pairs
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
 from helpers import odd_episodes, random_projector
@@ -290,26 +291,24 @@ class TestFuseLevels:
                     assert err < 1e-6
 
     def test_one_aligned_query_per_class(self):
-        """fuse_batch on a stack of per-row aligned queries, rows from
-        several episodes interleaved, equals each row fused alone on its
-        own query byte for byte; a leading axis of another length than the
-        rows' is a ValueError."""
+        """scorer._fuse_pairs, training's fusion of rows from several
+        episodes interleaved, each on its own aligned query, equals each row
+        fused alone by fuse_batch byte for byte, and returns the queries it
+        stacked."""
         rng = np.random.default_rng(16)
         proj = random_projector(CHANNELS, 40, rng)
         proj.biases = {lv: rng.standard_normal(40).astype(np.float32) for lv in proj.biases}
         eps = synth_episodes(SynthConfig(num_classes=5, k=2), 17, 3)
         protos = [prototype_matrices(ep.shots) for ep in eps]
         picks = [(0, 1), (2, 4), (1, 0), (0, 3), (2, 2), (1, 1)]  # (episode, class)
-        queries = np.stack([align_query(eps[ei].levels) for ei, _ in picks])
+        queries = [align_query(eps[ei].levels) for ei, _ in picks]
         rows = np.stack([protos[ei][cid] for ei, cid in picks])
-        got = fuse_batch(queries, rows, proj)
+        got, stacked = _fuse_pairs(proj, queries, rows, {})
         assert got.shape == (len(picks), 40, 8, 8)
         for fused, (ei, cid) in zip(got, picks):
             want = fuse_batch(align_query(eps[ei].levels), protos[ei][[cid]], proj)[0]
             assert fused.tobytes() == want.tobytes()
-        for bad in (queries[:1], queries[:-1], queries[None]):
-            with pytest.raises(ValueError):
-                fuse_batch(bad, rows, proj)
+        assert stacked.tobytes() == np.stack(queries).tobytes()
 
     def test_align_query_is_block_mean(self):
         rng = np.random.default_rng(15)

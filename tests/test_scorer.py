@@ -30,7 +30,6 @@ from preselect.scorer import (
     _mlp,
     _sample_pairs,
     _softmax,
-    confidence_backward_batch,
     confidence_vectors_batch,
     loss_and_grads,
     query_confidence_vectors,
@@ -191,6 +190,19 @@ class TestPredict:
         with pytest.raises(ValueError):
             ScoreModel(m.w1, m.b1, m.w2, m.b2, eps=eps)
 
+    @pytest.mark.parametrize("layer,shape", [
+        ("w1", (3, 0)), ("w1", (3, 5)), ("b1", (4,)), ("w2", (2, 4)), ("w2", (3, 3)),
+        ("b2", (1,)),
+    ], ids=["no-input-channels", "odd-w1-width", "b1", "w2-hidden", "w2-outputs", "b2"])
+    def test_rejects_disagreeing_shapes(self, layer, shape):
+        """Layers that no init writes: no input channel, a w1 of odd width,
+        or a b1, w2 or b2 that does not fit w1's hidden width of 3."""
+        m = tiny_model(np.random.default_rng(19), channels=2, hidden=3)
+        layers = {"w1": m.w1, "b1": m.b1, "w2": m.w2, "b2": m.b2}
+        layers[layer] = np.zeros(shape, np.float32)
+        with pytest.raises(ValueError):
+            ScoreModel(**layers)
+
     @pytest.mark.parametrize("hidden", [0, -3])
     def test_init_rejects_empty_hidden_layer(self, hidden):
         with pytest.raises(ValueError, match="hidden width"):
@@ -264,8 +276,24 @@ class TestFactoredScoring:
         assert not got[0].any()
 
     def test_stats_reject_undersized_query(self):
+        """query_stats rejects a 1x4 query, and loss_and_grads with input
+        gradients rejects 1x4 maps in its forward, before anything warns."""
         with pytest.raises(ValueError):
             query_stats(np.ones((2, 1, 4), np.float32))
+        rng = np.random.default_rng(18)
+        batch = [(random_map(rng, 2, 1, 4), i % 2) for i in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2x2"):
+                loss_and_grads(tiny_model(rng), batch, True)
+
+
+def backward(maps, grad_v, eps=1e-5):
+    """dVector/dMap of float32 maps as _map_loss takes it: the forward, then
+    _confidence_backward on the forward's row statistics, in one work dict."""
+    work = {}
+    _, mu, sd = scorer._confidence_vectors(maps, eps, work)
+    return scorer._confidence_backward(maps, grad_v, eps, mu, sd, work)
 
 
 def oracle_backward(data, grad_v, eps):
@@ -368,7 +396,7 @@ class TestGradients:
     def test_confidence_backward_zero_grad(self):
         rng = np.random.default_rng(9)
         maps = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
-        out = confidence_backward_batch(maps, np.zeros((3, 4)))
+        out = backward(maps, np.zeros((3, 4)))
         np.testing.assert_array_equal(out, np.zeros((3, 2, 4, 4)))
 
     def test_backward_matches_loop_oracle(self):
@@ -380,7 +408,7 @@ class TestGradients:
         maps[2, 1] = 0.25
         grad_v = rng.standard_normal((3, 6))
         eps = 1e-5
-        got = confidence_backward_batch(maps, grad_v, eps)
+        got = backward(maps, grad_v, eps)
         want = [oracle_backward(maps[i], grad_v[i], eps) for i in range(3)]
         assert np.abs(got - np.array(want)).max() / np.abs(want).max() < 1e-12
 
@@ -394,7 +422,7 @@ class TestGradients:
         n, c = shape[:2]
         for maps in sample_maps(rng, shape):
             for grad_v in (rng.standard_normal((n, 2 * c)), -np.zeros((n, 2 * c))):
-                got = confidence_backward_batch(maps, grad_v)
+                got = backward(maps, grad_v)
                 assert got.tobytes() == mask_form_backward(maps, grad_v).tobytes()
 
     @pytest.mark.parametrize("shape", MAP_SHAPES)
@@ -432,7 +460,7 @@ class TestGradients:
 
 
 def mask_form_backward(maps, grad_v, eps=1e-5):
-    """confidence_backward_batch as an argmax one-hot mask and np.where for
+    """The backward as an argmax one-hot mask and np.where for
     the local branch, and out-of-place (N, C, H, W) temporaries for the
     global branch."""
     x = np.asarray(maps).astype(np.float64)
@@ -711,8 +739,9 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
 
 def fresh_joint(model, proj, episodes, cfg):
     """train's JOINT phase as a loop over calls that return new arrays:
-    the batch's aligned queries stacked, fuse_batch, loss_and_grads with
-    input gradients, the clipped scorer step, then _apply_fusion_grads."""
+    fuse_batch on each pair's own aligned query, loss_and_grads with input
+    gradients, the clipped scorer step, then _apply_fusion_grads on the
+    batch's aligned queries stacked, with a new work dict."""
     model, proj = model.copy(), proj.copy()
     rng = np.random.default_rng(cfg.seed)
     losses = []
@@ -723,8 +752,8 @@ def fresh_joint(model, proj, episodes, cfg):
         for start in range(0, len(pairs), cfg.batch_size):
             chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
             rows = np.stack([prototype_matrices(episodes[ei].shots)[cid] for ei, cid, _ in chunk])
-            queries = np.stack([align_query(episodes[ei].levels) for ei, _, _ in chunk])
-            maps = fuse_batch(queries, rows, proj)
+            queries = [align_query(episodes[ei].levels) for ei, _, _ in chunk]
+            maps = [fuse_batch(q, row[None], proj)[0] for q, row in zip(queries, rows)]
             loss, grads, input_grads = loss_and_grads(
                 model, [(FeatureMap(m), label) for m, (_, _, label) in zip(maps, chunk)], True)
             total.append(loss)
@@ -732,7 +761,8 @@ def fresh_joint(model, proj, episodes, cfg):
             for name in ("w1", "b1", "w2", "b2"):
                 setattr(model, name, (getattr(model, name) - step * getattr(grads, name))
                         .astype(np.float32))
-            scorer._apply_fusion_grads(proj, queries, rows, input_grads, cfg.learning_rate)
+            stacked = np.stack([q.reshape(len(q), -1) for q in queries])
+            scorer._apply_fusion_grads(proj, stacked, rows, input_grads, cfg.learning_rate, {})
         losses.append(sum(total) / len(total))
     return model, proj, losses
 
