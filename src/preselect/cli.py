@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import checkpoint, cost, pack_io
-from .episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
+from .episodes import (FEATURE_LEVELS, FusionProjector, SynthConfig, prototype_matrices,
+                       synth_episodes)
 from .metrics import evaluate
 from .scorer import DivergenceError, Phase, ScoreModel, TrainConfig, query_scores, train
 from .selector import Adaptive, All, TopN, run_inference
@@ -29,8 +30,13 @@ EXIT_NUMERICAL = 2
 EXIT_CLOSED_PIPE = 141
 
 
+# Where a run writes, and the file its option values came from, do not
+# change what it computes, so the config hash leaves them out.
+_UNHASHED = {"func", "config", "output", "report", "recall_csv"}
+
+
 def _config_hash(args: argparse.Namespace) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -126,14 +132,29 @@ def _train_accuracy(model, episodes) -> float:
     return correct / max(total, 1)
 
 
+def _load_inputs(args):
+    """The checkpoint's model and projections and the pack's episodes, or
+    ValueError naming both files unless the checkpoint takes the pack's
+    channels: the scorer's C is L4's, and each level's projection takes
+    that level's."""
+    model, proj = checkpoint.load_checkpoint(args.checkpoint)
+    episodes = pack_io.read_pack(args.pack)
+    pack = [episodes[0].levels[lv].channels for lv in FEATURE_LEVELS]
+    takes = [proj.weights[lv].shape[1] for lv in FEATURE_LEVELS]
+    if takes != pack or model.in_channels != pack[-1]:
+        raise ValueError(f"{args.checkpoint} does not fit {args.pack}: its scorer takes "
+                         f"{model.in_channels} L4 channels and its L2, L3, L4 projections "
+                         f"take {takes}, but the pack's levels have {pack}")
+    return model, proj, episodes
+
+
 def cmd_eval(args) -> int:
     # The options and output paths are checked before any file is read.
     strategy = _strategy(args)
     if not 0.0 < args.iou < 1.0:
         raise ValueError(f"--iou {args.iou}: must lie in (0, 1)")
     _check_outputs(args.recall_csv, args.report)
-    model, proj = checkpoint.load_checkpoint(args.checkpoint)
-    episodes = pack_io.read_pack(args.pack)
+    model, proj, episodes = _load_inputs(args)
     report = evaluate(model, proj, episodes, strategy, iou_threshold=args.iou)
     chash = _config_hash(args)
     record = {
@@ -166,8 +187,7 @@ def cmd_bench(args) -> int:
     overhead formed from them, the fitted cost profile and the reference
     profile's prediction. Seconds are not rounded."""
     loops = {"full": All(), "minor": _strategy(args)}
-    model, proj = checkpoint.load_checkpoint(args.checkpoint)
-    episodes = pack_io.read_pack(args.pack)
+    model, proj, episodes = _load_inputs(args)
     # One untimed query per loop, so that the first timed one runs warm.
     for strategy in loops.values():
         run_inference(model, proj, episodes[0], strategy)

@@ -75,6 +75,11 @@ def _class_ap(dets: list[tuple[str, Box, float]],
     return float(ap)
 
 
+def _check_iou(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError("iou_threshold must lie in (0, 1)")
+
+
 def average_precision(
     detections: dict[int, list[tuple[str, Box, float]]],
     gt_boxes: dict[int, dict[str, list[Box]]],
@@ -85,8 +90,7 @@ def average_precision(
     detections[class] is a list of (episode_id, box, confidence);
     gt_boxes[class][episode_id] is the box list for that episode.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError("iou_threshold must lie in (0, 1)")
+    _check_iou(iou_threshold)
     per_class = {}
     for cid, gts in gt_boxes.items():
         if sum(len(b) for b in gts.values()) == 0:
@@ -155,8 +159,10 @@ def evaluate(
     Each class's fused map and detections do not depend on which other
     classes share its batch, so the minor loop's result is the full loop's
     restricted to select(scores, strategy), with empty lists for the other
-    classes. Timings are the full pass's per-stage sums.
+    classes. Timings are the full pass's per-stage sums. A bad
+    iou_threshold is rejected before the first episode runs.
     """
+    _check_iou(iou_threshold)
     full_results, minor_results = [], []
     timings: dict[str, float] = {}
     for ep in episodes:

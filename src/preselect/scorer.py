@@ -3,16 +3,17 @@
 A correlation map is reduced to a confidence vector by two pooling
 branches (a local max-pooled average and a global normalized-rectified
 average), then a small MLP (2C -> hidden -> 2) turns that vector into
-existence logits. The scorer has two forwards. Inference scores every
-candidate class of one query from that query's statistics and the
-classes' prototypes, without forming the maps (query_scores, in float32).
-Training scores a batch of maps it has formed in one call (_map_loss:
-the confidence vectors, then _mlp in float64), which loss_and_grads
-and the JOINT phase share. Backprop is written by hand: through the MLP,
-and through both pooling branches down to the input maps so the fusion
-projections can be trained jointly. Each step writes its arrays into a
-work dict (_empty): loss_and_grads passes a new one per call, and a JOINT
-train call one for all its batches.
+existence logits. One closed form scores every prototype x query map
+from the query's statistics and the prototype, without forming the map
+(_l4_vectors, in float32): inference runs the MLP on those vectors in
+float32 (query_scores), the TPF phase in float64. Only JOINT forms maps,
+the fused ones, and scores a batch of them in one call (_map_loss: the
+confidence vectors, then _mlp in float64), which loss_and_grads shares.
+Backprop is written by hand: through the MLP, and through both pooling
+branches down to the input maps so the fusion projections can be trained
+jointly. Each step writes its arrays into a work dict (_empty):
+loss_and_grads passes a new one per call, and a JOINT train call one for
+all its batches.
 """
 
 from __future__ import annotations
@@ -99,23 +100,15 @@ def _empty(work: _Work, name: str, shape: tuple[int, ...],
     return work[name][:size].view(dtype).reshape(shape)
 
 
-def confidence_vectors_batch(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Confidence vectors [local, global] of a stack of maps.
-
-    maps is (N, C, H, W); returns (N, 2C) float64. Local: channel mean of
-    the 2x2 max-pooled map (an odd last row/column is dropped). Global:
-    channel mean of the rectified map standardized by its mean and
-    std + eps. Elementwise work is float32 with float64 accumulators.
-    """
-    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps, {})[0]
-
-
 def _confidence_vectors(x: np.ndarray, eps: float, work: _Work
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """confidence_vectors_batch of float32 maps x, with the (N, C, 1) mean
-    and std of their rows that _confidence_backward takes: np.mean and
-    np.std of the rows' float64 copy, which are the bytes of x.mean and
-    x.std with dtype=np.float64."""
+    """Confidence vectors [local, global], (N, 2C) float64, of (N, C, H, W)
+    float32 maps x, and the (N, C, 1) row mean and std that
+    _confidence_backward takes. Local: channel mean of the 2x2 max-pooled
+    map (an odd last row/column is dropped). Global: channel mean of the
+    rectified map standardized by its mean and std + eps. Elementwise work
+    is float32 with float64 accumulators; the mean and std are the bytes of
+    x.mean and x.std with dtype=np.float64."""
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
@@ -183,8 +176,8 @@ def query_stats(query: np.ndarray) -> np.ndarray:
 
 def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray,
                              eps: float = 1e-5) -> np.ndarray:
-    """confidence_vectors_batch of the N correlation maps protos[n] * q,
-    from query_stats(q), without forming the maps.
+    """The confidence vectors of the N correlation maps protos[n] * q, from
+    q's statistics (query_stats), without forming the maps.
 
     protos is (N, C); returns (N, 2C) computed in float64 and stored in
     float32, the MLP's precision at inference. Max-pooling commutes with a
@@ -312,12 +305,17 @@ def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, z))
 
 
-def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities of the N correlation maps of the
+def _l4_vectors(q4: np.ndarray, protos: np.ndarray, eps: float) -> np.ndarray:
+    """The float32 confidence vectors of the N correlation maps of the
     (C, H, W) L4 query map q4, one per row of prototype_matrices' (N,
     sum of C_l) output, whose last C columns are the L4 prototypes."""
-    v = query_confidence_vectors(query_stats(q4), protos[:, -len(q4):], model.eps)
-    return _positive_probs(model, v)
+    return query_confidence_vectors(query_stats(q4), protos[:, -len(q4):], eps)
+
+
+def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities of _l4_vectors(q4, protos): the
+    vectors that the TPF phase trains on."""
+    return _positive_probs(model, _l4_vectors(q4, protos, model.eps))
 
 
 @dataclass
@@ -455,9 +453,9 @@ def train(
     """Plain SGD over sampled (map, label) pairs; each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP.
 
-    A pair's row, its class's prototype row in JOINT and its L4 map's
-    confidence vector in TPF_ONLY, is built once, in the first epoch that
-    samples it, one call per episode. JOINT fuses each batch in one
+    A pair's row, its class's prototype row in JOINT and its _l4_vectors
+    vector (query_scores') in TPF_ONLY, is built once, in the first epoch
+    that samples it, one call per episode. JOINT fuses each batch in one
     contraction, fuse_batch's, on queries aligned once, and trains the
     scorer and the fusion projections through _map_loss, as
     loss_and_grads does, all in work arrays allocated once per call;
@@ -486,8 +484,7 @@ def train(
             ep = episodes[ei]
             new = prototype_matrices({lv: a[cids] for lv, a in ep.shots.items()})
             if not joint:
-                q4 = ep.levels[Level.L4].data
-                new = confidence_vectors_batch(new[:, -len(q4):, None, None] * q4, model.eps)
+                new = _l4_vectors(ep.levels[Level.L4].data, new, model.eps).astype(np.float64)
             rows.update(((ei, cid), row) for cid, row in zip(cids, new))
         epoch_loss = 0.0
         starts = range(0, len(pairs), cfg.batch_size)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from preselect.episodes import FEATURE_LEVELS, Episode, FusionProjector
-from preselect.scorer import ScoreModel, _positive_probs, confidence_vectors_batch
+from preselect.scorer import ScoreModel, _confidence_vectors, _positive_probs
 from preselect.tensor_ops import FeatureMap, Level
 
 
@@ -19,17 +19,24 @@ def random_projector(channels: dict[Level, int], out_channels: int,
     return FusionProjector(weights, biases)
 
 
+def map_vectors(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """The (N, 2C) float64 confidence vectors of a stack of (N, C, H, W)
+    maps (cast to float32 first), from the maps themselves: the forward
+    that JOINT runs on its fused maps."""
+    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps, {})[0]
+
+
 def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     """Positive-class probabilities for a stack of (N, C, H, W) maps, from
     the maps themselves: the reference for factored scoring
     (query_scores), which never forms them."""
-    return _positive_probs(model, confidence_vectors_batch(maps, model.eps))
+    return _positive_probs(model, map_vectors(maps, model.eps))
 
 
 def confidence_vectors_oracle(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """confidence_vectors_batch as out-of-place expressions: the max-pool
-    as nested np.maximum of the window cells, and the row mean and std from
-    x.mean and x.std with float64 accumulators."""
+    """map_vectors as out-of-place expressions: the max-pool as nested
+    np.maximum of the window cells, and the row mean and std from x.mean
+    and x.std with float64 accumulators."""
     x = np.asarray(maps, dtype=np.float32)
     n, c, h, w = x.shape
     ph, pw = h // 2, w // 2

@@ -14,6 +14,7 @@ import pytest
 from preselect import checkpoint, pack_io
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from preselect.scorer import ScoreModel
 from preselect.tensor_ops import Level
 
 GEN_ARGS = ["gen", "--classes", "6", "--present", "2", "--episodes", "6",
@@ -411,6 +412,29 @@ class TestMalformedInputs:
         assert err.startswith(f"error: {ckpt}: ") and want in err, err
 
     @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("case", ["l2-takes-10", "scorer-c-32"])
+    def test_checkpoint_widths_against_pack(self, pack, ckpt, monkeypatch, capsys, case,
+                                            command):
+        """A checkpoint whose L2 projection takes 10 channels, or whose
+        scorer takes C = 32, against the pack's 16 and 64: one error line
+        naming both files, before the first query."""
+        model, proj = load_checkpoint(ckpt)
+        if case == "l2-takes-10":
+            proj.weights[Level.L2] = proj.weights[Level.L2][:, :10]
+        else:
+            model = ScoreModel.init(32, hidden=16)
+        save_checkpoint(ckpt, model, proj)
+        queries = []
+        for name in ("evaluate", "run_inference"):
+            monkeypatch.setattr(f"preselect.cli.{name}", lambda *a, **k: queries.append(a))
+        code = main([command, "--checkpoint", str(ckpt), "--pack", str(pack), "--top-n", "3"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION and queries == []
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert str(ckpt) in err and str(pack) in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("blob", ["w1", "b2", "projector"])
     def test_nonfinite_checkpoint_weight(self, pack, ckpt, capsys, blob, value, command):
@@ -561,6 +585,32 @@ class TestConfigFile:
                      "--pack", str(pack)]) == EXIT_OK
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["ap_minor"] == record["ap_full"]
+
+    def test_config_hash_ignores_paths(self, tmp_path, capsys):
+        """gen's config hash depends on its option values only: not on -o,
+        nor on whether the values came from --config."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"classes": 6, "episodes": 2}))
+        runs = [["gen", "--classes", "6", "--episodes", "2", "-o", str(tmp_path / "a.epk")],
+                ["gen", "--classes", "6", "--episodes", "2", "-o", str(tmp_path / "b.epk")],
+                ["--config", str(cfg), "gen", "-o", str(tmp_path / "c.epk")],
+                ["gen", "--classes", "7", "--episodes", "2", "-o", str(tmp_path / "d.epk")]]
+        lines = []
+        for argv in runs:
+            assert main(argv) == EXIT_OK
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines[0].startswith("config ")
+        assert lines[0] == lines[1] == lines[2] != lines[3]
+
+    def test_eval_config_hash_ignores_outputs(self, tmp_path, pack, ckpt, capsys):
+        """--report and --recall-csv leave eval's config hash as it is."""
+        base = ["eval", "--checkpoint", str(ckpt), "--pack", str(pack)]
+        hashes = []
+        for extra in ([], ["--report", str(tmp_path / "r.json"),
+                           "--recall-csv", str(tmp_path / "r.csv")]):
+            assert main(base + extra) == EXIT_OK
+            hashes.append(json.loads(capsys.readouterr().out.splitlines()[0])["config"])
+        assert hashes[0] == hashes[1]
 
     def test_missing_config_file(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.json"),

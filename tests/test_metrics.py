@@ -279,6 +279,16 @@ class TestSinglePassEvaluate:
             assert got == two_pass_evaluate(model, proj, episodes, strategy), strategy
         assert report.ap_full > 0
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan")])
+    def test_bad_threshold_rejected_before_any_query(self, monkeypatch, threshold):
+        model, proj, episodes = self._pipeline()
+        calls = []
+        monkeypatch.setattr("preselect.metrics.run_inference",
+                            lambda *args: calls.append(args) or run_inference(*args))
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate(model, proj, episodes, TopN(2), iou_threshold=threshold)
+        assert calls == []
+
     def test_no_episodes(self):
         model, proj, _ = self._pipeline()
         assert evaluate(model, proj, [], TopN(2)) == EvalReport(0.0, 0.0, 0.0, {}, 1.0, {})

@@ -30,7 +30,6 @@ from preselect.scorer import (
     _mlp,
     _sample_pairs,
     _softmax,
-    confidence_vectors_batch,
     loss_and_grads,
     query_confidence_vectors,
     query_scores,
@@ -39,7 +38,7 @@ from preselect.scorer import (
 )
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import confidence_vectors_oracle, random_projector, scores_batch
+from helpers import confidence_vectors_oracle, map_vectors, random_projector, scores_batch
 
 
 def fmap(arr):
@@ -61,8 +60,8 @@ def tiny_model(rng, channels=2, hidden=3):
 
 
 def vector(arr, eps=1e-5):
-    """Confidence vector of one (C, H, W) map, through the batched path."""
-    return confidence_vectors_batch(np.asarray(arr, np.float32)[None], eps)[0]
+    """Confidence vector of one (C, H, W) map, through the map form."""
+    return map_vectors(np.asarray(arr, np.float32)[None], eps)[0]
 
 
 MAP_SHAPES = [(32, 64, 8, 8), (3, 3, 5, 6), (2, 4, 3, 3), (4, 2, 2, 2)]
@@ -78,8 +77,8 @@ def sample_maps(rng, shape):
 
 
 class TestRepresentations:
-    """Both halves of confidence_vectors_batch on N=1 stacks; the local
-    half comes first, then the global half."""
+    """Both halves of the map form's confidence vectors on N=1 stacks;
+    the local half comes first, then the global half."""
 
     def test_global_constant_map_is_zero(self):
         out = vector(np.full((3, 2, 2), 7.0))[3:]
@@ -232,7 +231,7 @@ class TestBatchedScoring:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = scores_batch(model, maps)
-        v = confidence_vectors_batch(maps).astype(np.float32)
+        v = map_vectors(maps).astype(np.float32)
         want = _softmax(_mlp(model, v)[1])[:, POSITIVE]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         if gap > 1.0:
@@ -241,7 +240,7 @@ class TestBatchedScoring:
     def test_vectors_match_per_map(self):
         rng = np.random.default_rng(6)
         maps = rng.standard_normal((6, 3, 4, 4)).astype(np.float32)
-        batched = confidence_vectors_batch(maps)
+        batched = map_vectors(maps)
         for i in range(6):
             np.testing.assert_array_equal(batched[i], vector(maps[i]))
 
@@ -270,7 +269,7 @@ class TestFactoredScoring:
         p = rng.standard_normal((9, shape[0])).astype(np.float32)
         p[0] = 0.0
         p[1] = -np.abs(p[1])
-        want = confidence_vectors_batch(q[None] * p[:, :, None, None])
+        want = map_vectors(q[None] * p[:, :, None, None])
         got = query_confidence_vectors(query_stats(q), p)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         assert not got[0].any()
@@ -432,7 +431,7 @@ class TestGradients:
         backward test's maps."""
         rng = np.random.default_rng(sum(shape))
         for maps in sample_maps(rng, shape):
-            got = confidence_vectors_batch(maps)
+            got = map_vectors(maps)
             assert got.tobytes() == confidence_vectors_oracle(maps).tobytes()
 
     def test_fresh_result_per_call(self):
@@ -577,8 +576,8 @@ class TestTrain:
                       TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=lr))
 
     def test_tpf_builds_each_vector_once(self, monkeypatch):
-        """Over 3 TPF epochs, confidence_vectors_batch sees one row per
-        distinct sampled (episode, class) pair."""
+        """Over 3 TPF epochs, the closed form (_l4_vectors) builds one row
+        per distinct sampled (episode, class) pair."""
         eps = small_episodes()
         model, proj = fresh_state(eps)
         sampled, built = [], []
@@ -588,15 +587,53 @@ class TestTrain:
             sampled.extend((ei, cid) for ei, cid, _ in pairs)
             return pairs
 
-        def vectors(maps, eps):
-            built.append(len(maps))
-            return confidence_vectors_batch(maps, eps)
+        l4_vectors = scorer._l4_vectors
+
+        def vectors(q4, protos, eps):
+            built.append(len(protos))
+            return l4_vectors(q4, protos, eps)
 
         monkeypatch.setattr(scorer, "_sample_pairs", sample)
-        monkeypatch.setattr(scorer, "confidence_vectors_batch", vectors)
+        monkeypatch.setattr(scorer, "_l4_vectors", vectors)
         train(model, proj, eps, TrainConfig(epochs=3, batch_size=5, phase=Phase.TPF_ONLY))
         # Positives recur in every epoch, so a per-sample build counts more.
         assert sum(built) == len(set(sampled)) < len(sampled)
+
+    def test_tpf_rows_are_inference_vectors(self, monkeypatch):
+        """Every row of every TPF batch has the bytes, cast to float64, of
+        the vector that query_scores feeds its MLP for the same (episode,
+        class) pair."""
+        eps = small_episodes()
+        model, proj = fresh_state(eps)
+        fed, orders, rows = [], [], []
+        positive_probs, vector_loss = scorer._positive_probs, scorer._vector_loss
+
+        def feed(m, v):
+            fed.append(v)
+            return positive_probs(m, v)
+
+        monkeypatch.setattr(scorer, "_positive_probs", feed)
+        for ep in eps:
+            query_scores(model, ep.levels[Level.L4].data, prototype_matrices(ep.shots))
+
+        def sample(*args):
+            orders.append(_sample_pairs(*args))  # train shuffles it in place
+            return orders[-1]
+
+        def loss(m, v, labels):
+            rows.append(v.copy())
+            return vector_loss(m, v, labels)
+
+        monkeypatch.setattr(scorer, "_sample_pairs", sample)
+        monkeypatch.setattr(scorer, "_vector_loss", loss)
+        train(model, proj, eps, TrainConfig(epochs=2, batch_size=5, phase=Phase.TPF_ONLY))
+        want = [np.stack([fed[ei][cid] for ei, cid, _ in
+                          sorted(pairs[start : start + 5], key=lambda p: p[0])])
+                for pairs in orders for start in range(0, len(pairs), 5)]
+        assert len(rows) == len(want) > 2
+        for got, vectors in zip(rows, want):
+            assert vectors.dtype == np.float32
+            assert got.tobytes() == vectors.astype(np.float64).tobytes()
 
     def test_joint_zero_epochs_prepares_nothing(self, monkeypatch):
         """JOINT with epochs=0 aligns no query and takes no work array."""
@@ -668,7 +705,7 @@ class TestTrain:
         assert TrainConfig(epochs=0, batch_size=1).epochs == 0
 
 
-def oracle_train(model, proj, episodes, cfg, round_levels=True):
+def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
     """The per-class trainer that train replaced, kept as its reference:
     per-class correlate, each level block-averaged to the L4 grid and
     rounded to float32, a per-level projection loop, and a per-pair loop
@@ -676,6 +713,11 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
     and ordered by episode, as train batches them. Each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP, its squared norm
     summed over the four arrays in float64.
+
+    TPF scores each pair alone through query_confidence_vectors, as
+    inference does, and runs the float64 MLP loss on the vectors. With
+    tpf_maps set, it forms the pair's L4 correlation map instead and
+    scores it through loss_and_grads: the map form TPF used to train on.
 
     With round_levels unset, each level is block-averaged in float64 and
     then correlated, unrounded: the arithmetic of fuse_batch, still one
@@ -690,11 +732,15 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
         total, count = 0.0, 0
         for start in range(0, len(pairs), cfg.batch_size):
             chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
-            batch, inputs = [], []
+            batch, inputs, vectors = [], [], []
             for ei, cid, label in chunk:
                 ep = episodes[ei]
                 proto = build_prototype(cid, ep.supports[cid])
                 q4 = ep.levels[Level.L4]
+                if not (joint or tpf_maps):
+                    vectors.append(query_confidence_vectors(
+                        query_stats(q4.data), proto.vectors[Level.L4][None], model.eps)[0])
+                    continue
                 if not joint:
                     batch.append((correlate(q4, proto.vectors[Level.L4]), label))
                     continue
@@ -712,7 +758,11 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True):
                 fused = fused.astype(np.float32).reshape(-1, *q4.data.shape[1:])
                 batch.append((FeatureMap(fused), label))
                 inputs.append(x)
-            loss, grads, input_grads = loss_and_grads(model, batch, joint)
+            if vectors:
+                labels = np.array([label for _, _, label in chunk])
+                loss, grads, _ = scorer._vector_loss(model, np.array(vectors, np.float64), labels)
+            else:
+                loss, grads, input_grads = loss_and_grads(model, batch, joint)
             total += loss
             count += 1
             lr = cfg.learning_rate
@@ -776,8 +826,10 @@ def _params(model, proj):
 class TestTrainMatchesOracle:
     """train against oracle_train.
 
-    TPF maps are the same float32 products, so that phase is bitwise
-    equal. JOINT fuses in float64 where the oracle rounds each block
+    TPF vectors come from the same closed form, and a pair's row does not
+    depend on the other rows built with it, so that phase is bitwise
+    equal; against the map form it agrees to JOINT's tolerances. JOINT
+    fuses in float64 where the oracle rounds each block
     average to float32 (a relative 6e-8 each), so on a small config,
     after two epochs, the losses must agree to 1e-7 relative and every
     parameter array to 1e-6 of its largest entry (measured: 1e-9 and
@@ -802,6 +854,22 @@ class TestTrainMatchesOracle:
         assert got_losses == want_losses
         for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
             assert got.tobytes() == want.tobytes()
+
+    def test_tpf_phase_within_tolerance_of_map_form(self):
+        """The closed form against the float32 correlation maps and
+        their pooled vectors that TPF trained on before: after three
+        epochs, losses within 1e-7 relative and every parameter array
+        within 1e-6 of its largest entry (measured: 4.7e-9 and 1.5e-7)."""
+        eps, model, proj = self._state()
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=5, phase=Phase.TPF_ONLY,
+                          seed=4)
+        got_model, got_proj, got_losses = train(model, proj, eps, cfg)
+        want_model, want_proj, want_losses = oracle_train(model, proj, eps, cfg, tpf_maps=True)
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
+        for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        for want, start in zip(_params(want_model, want_proj)[:4], _params(model, proj)):
+            assert not np.array_equal(want, start)
 
     def test_joint_phase_within_tolerance(self):
         eps, model, proj = self._state()

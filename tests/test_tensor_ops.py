@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from preselect.episodes import prototype_matrices
-from preselect.scorer import _softmax, confidence_vectors_batch
+from preselect.scorer import _softmax
 from preselect.tensor_ops import FeatureMap, Level, block_mean
+
+from helpers import map_vectors
 
 
 def fmap(arr):
@@ -31,7 +33,7 @@ def spatial_average(m):
 def max_pool_average(data):
     """Local confidence half: per-channel mean of the 2x2 max-pooled map."""
     data = np.asarray(data, dtype=np.float32)
-    return confidence_vectors_batch(data[None])[0, : data.shape[0]]
+    return map_vectors(data[None])[0, : data.shape[0]]
 
 
 def softmax2(z):
