@@ -3,13 +3,13 @@
 Layout of a .ckpt file:
 
     magic  b"TPF1"
-    u32    in_channels C, u32 hidden width, f32 standardization eps
+    u32    in_channels C, u32 hidden width, f32 eps = float32(ScoreModel.eps)
     blobs  w1 (hidden x 2C), b1, w2 (2 x hidden), b2 as raw float32 LE
     u32    number of fusion levels, then per level in L2, L3, L4 order:
              u32 in_channels, u32 out_channels, W blob, b blob
 
-Nothing follows the last blob. The sizes a header gives are checked
-against the bytes left in the file before the blobs are read.
+Nothing follows the last blob. The reader rejects any other eps word, and
+checks the sizes a header gives against the bytes left before reading them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
     hidden = model.w1.shape[0]
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IIf", model.in_channels, hidden, model.eps))
+        f.write(struct.pack("<IIf", model.in_channels, hidden, ScoreModel.eps))
         _write_blob(f, model.w1)
         _write_blob(f, model.b1)
         _write_blob(f, model.w2)
@@ -47,17 +47,20 @@ def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
 
 
 def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
-    """The model and projections of a checkpoint whose widths train could
-    have written; ValueError naming the file otherwise."""
+    """The model and projections of a checkpoint whose eps word and widths
+    train could have written; ValueError naming the file otherwise."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
         c, hidden, eps = struct.unpack("<IIf", read_exact(f, 12))
+        if eps != np.float32(ScoreModel.eps):
+            raise ValueError(f"{path}: standardization eps {np.float32(eps)} is not "
+                             f"{np.float32(ScoreModel.eps)}")
         shapes = ((hidden, 2 * c), (hidden,), (2, hidden), (2,))  # w1, b1, w2, b2
         require_bytes(f, 4 * (hidden * (2 * c + 3) + 2))
         layers = [read_floats(f, shape) for shape in shapes]
         try:
-            model = ScoreModel(*layers, eps=float(eps))
+            model = ScoreModel(*layers)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         (n_levels,) = struct.unpack("<I", read_exact(f, 4))

@@ -19,8 +19,9 @@ from pathlib import Path
 from . import checkpoint, cost, pack_io
 from .episodes import (FEATURE_LEVELS, FusionProjector, SynthConfig, prototype_matrices,
                        synth_episodes)
-from .metrics import evaluate
-from .scorer import DivergenceError, Phase, ScoreModel, TrainConfig, query_scores, train
+from .metrics import IOU_THRESHOLD, evaluate
+from .scorer import (HIDDEN_DIM, DivergenceError, Phase, ScoreModel, TrainConfig, query_scores,
+                     train)
 from .selector import Adaptive, All, TopN, run_inference
 from .tensor_ops import Level
 
@@ -259,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic episode pack")
-    g.add_argument("--classes", type=int, default=20)
-    g.add_argument("--present", type=int, default=3)
+    g.add_argument("--classes", type=int, default=SynthConfig.num_classes)
+    g.add_argument("--present", type=int, default=SynthConfig.present_count)
     g.add_argument("--episodes", type=int, default=64)
-    g.add_argument("--shots", type=int, default=3)
-    g.add_argument("--amplitude", type=float, default=10.0)
-    g.add_argument("--sigma", type=float, default=0.3)
+    g.add_argument("--shots", type=int, default=SynthConfig.k)
+    g.add_argument("--amplitude", type=float, default=SynthConfig.blob_amplitude)
+    g.add_argument("--sigma", type=float, default=SynthConfig.noise_sigma)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", type=Path, required=True)
     g.set_defaults(func=cmd_gen)
@@ -277,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--joint-lr", type=float, default=0.05)
     t.add_argument("--epochs", type=int, default=40)
     t.add_argument("--lr", type=float, default=0.5)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--hidden", type=int, default=512)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--hidden", type=int, default=HIDDEN_DIM)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("-o", "--output", type=Path, required=True)
     t.set_defaults(func=cmd_train)
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a pack")
     e.add_argument("--checkpoint", type=Path, required=True)
     e.add_argument("--pack", type=Path, required=True)
-    e.add_argument("--iou", type=float, default=0.5)
+    e.add_argument("--iou", type=float, default=IOU_THRESHOLD)
     e.add_argument("--recall-csv", type=Path, default=None)
     e.add_argument("--report", type=Path, default=None)
     _add_strategy_args(e)
@@ -309,7 +310,10 @@ def _apply_config_file(parser, argv):
     if ns.config is None:
         return
     with open(ns.config) as f:
-        values = json.load(f)
+        try:
+            values = json.load(f)
+        except ValueError as e:  # not text, or not JSON
+            raise ValueError(f"{ns.config}: not a JSON file: {e}") from None
     if not isinstance(values, dict):
         raise ValueError(f"{ns.config}: config must be a JSON object, "
                          f"not {type(values).__name__}")

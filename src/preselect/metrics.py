@@ -11,6 +11,8 @@ import numpy as np
 from .episodes import Box, Episode
 from .selector import All, InferenceResult, SelectionStrategy, run_inference, select
 
+IOU_THRESHOLD = 0.5  # the default IoU at which a detection matches a ground-truth box
+
 
 def omission_rate(ap_full: float, ap_minor: float) -> float:
     """Signed percentage AP change of the minor loop vs. the full loop.
@@ -83,7 +85,7 @@ def _check_iou(iou_threshold: float) -> None:
 def average_precision(
     detections: dict[int, list[tuple[str, Box, float]]],
     gt_boxes: dict[int, dict[str, list[Box]]],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> tuple[float, dict[int, float]]:
     """Mean AP over classes with at least one ground-truth box.
 
@@ -150,7 +152,7 @@ def evaluate(
     proj,
     episodes: list[Episode],
     strategy: SelectionStrategy,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> EvalReport:
     """Run the full loop once per episode; report AP for it and for the
     strategy's minor loop, the omission rate between them, and class-wise

@@ -197,7 +197,11 @@ def read_pack(path) -> list[Episode]:
             raise ValueError(f"{path}: not an episode pack (bad magic)")
         (mlen,) = struct.unpack("<I", read_exact(f, 4))
         require_bytes(f, mlen)
-        man = json.loads(read_exact(f, mlen).decode())
+        raw = read_exact(f, mlen)
+        try:
+            man = json.loads(raw.decode())
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: malformed manifest: {e}") from None
         fmt = man.get("format") if isinstance(man, dict) else None
         if type(fmt) is not int or fmt != 1:
             raise ValueError(f"{path}: unsupported pack format {fmt!r}")

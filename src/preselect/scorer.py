@@ -3,17 +3,19 @@
 A correlation map is reduced to a confidence vector by two pooling
 branches (a local max-pooled average and a global normalized-rectified
 average), then a small MLP (2C -> hidden -> 2) turns that vector into
-existence logits. One closed form scores every prototype x query map
-from the query's statistics and the prototype, without forming the map
-(_l4_vectors, in float32): inference runs the MLP on those vectors in
-float32 (query_scores), the TPF phase in float64. Only JOINT forms maps,
-the fused ones, and scores a batch of them in one call (_map_loss: the
-confidence vectors, then _mlp in float64), which loss_and_grads shares.
-Backprop is written by hand: through the MLP, and through both pooling
-branches down to the input maps so the fusion projections can be trained
-jointly. Each step writes its arrays into a work dict (_empty):
-loss_and_grads passes a new one per call, and a JOINT train call one for
-all its batches.
+existence logits. The global branch standardizes with ScoreModel.eps,
+one constant that every forward, the backward and a checkpoint read, so
+a reloaded model scores as it did. One closed form scores every
+prototype x query map from the query's statistics and the prototype,
+without forming the map (_l4_vectors, in float32): inference runs the MLP
+on those vectors in float32 (query_scores), the TPF phase in float64.
+Only JOINT forms maps, the fused ones, and scores a batch of them in one
+call (_map_loss: the confidence vectors, then _mlp in float64), which
+loss_and_grads shares. Backprop is written by hand: through the MLP, and
+through both pooling branches down to the input maps so the fusion
+projections can be trained jointly. Each step writes its arrays into a
+work dict (_empty): loss_and_grads passes a new one per call, and a JOINT
+train call one for all its batches.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class ScoreModel:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (2, hidden)
     b2: np.ndarray  # (2,)
-    eps: float = 1e-5
+    eps = 1e-5  # the global branch's standardization eps: a constant, not a field
 
     @property
     def in_channels(self) -> int:
@@ -73,12 +75,10 @@ class ScoreModel:
         if min(hidden, width) < 1 or width % 2 or shapes[1:] != [(hidden,), (2, hidden), (2,)]:
             raise ValueError(f"layer shapes {shapes} are not (h, 2C), (h,), (2, h), (2,) "
                              f"with a hidden width h >= 1 and C >= 1")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
     def copy(self) -> "ScoreModel":
         return ScoreModel(self.w1.copy(), self.b1.copy(),
-                          self.w2.copy(), self.b2.copy(), self.eps)
+                          self.w2.copy(), self.b2.copy())
 
 
 # The arrays that one training step writes into, one byte buffer per name.
@@ -100,7 +100,7 @@ def _empty(work: _Work, name: str, shape: tuple[int, ...],
     return work[name][:size].view(dtype).reshape(shape)
 
 
-def _confidence_vectors(x: np.ndarray, eps: float, work: _Work
+def _confidence_vectors(x: np.ndarray, work: _Work
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Confidence vectors [local, global], (N, 2C) float64, of (N, C, H, W)
     float32 maps x, and the (N, C, 1) row mean and std that
@@ -130,7 +130,7 @@ def _confidence_vectors(x: np.ndarray, eps: float, work: _Work
     np.square(d, out=d)
     sd = np.sqrt(d.sum(axis=-1, keepdims=True) / (h * w))
     z = np.subtract(flat, mu.astype(np.float32), out=_empty(work, "u", flat.shape, np.float32))
-    z /= (sd + eps).astype(np.float32)
+    z /= (sd + ScoreModel.eps).astype(np.float32)
     np.maximum(z, 0.0, out=z)
     z.mean(axis=2, dtype=np.float64, out=v[:, c:])
     return v, mu, sd
@@ -174,8 +174,7 @@ def query_stats(query: np.ndarray) -> np.ndarray:
     return stats
 
 
-def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray,
-                             eps: float = 1e-5) -> np.ndarray:
+def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """The confidence vectors of the N correlation maps protos[n] * q, from
     q's statistics (query_stats), without forming the maps.
 
@@ -198,13 +197,13 @@ def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray,
     if size[:2].max(initial=0.0) > _FLOAT32_MAX:
         raise ValueError("confidence vector overflows float32")
     np.maximum(scaled[0], scaled[1], out=v[:, :c])
-    size[2] += eps
+    size[2] += ScoreModel.eps
     np.divide(size[3], size[2], out=v[:, c:])
     return v
 
 
-def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, eps: float, mu: np.ndarray,
-                         sd: np.ndarray, work: _Work) -> np.ndarray:
+def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, mu: np.ndarray, sd: np.ndarray,
+                         work: _Work) -> np.ndarray:
     """Gradient of the confidence vectors w.r.t. their (N, C, H, W) float32
     maps x, given _confidence_vectors' row mean and std. grad_v is (N, 2C),
     local half first; returns (N, C, H, W) float64, one of work's arrays.
@@ -219,7 +218,7 @@ def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, eps: float, mu: np.n
     np.copyto(rows, x.reshape(n * ch, h * w))
     rows -= mu.reshape(n * ch, 1)  # d
     sd = sd.reshape(n * ch, 1)
-    s = sd + eps
+    s = sd + ScoreModel.eps
     u = np.divide(rows, s, out=_empty(work, "u", rows.shape))  # z
     positive = np.greater(u, 0, out=_empty(work, "positive", rows.shape, bool))
     np.multiply((g[:, ch:] / (h * w)).reshape(-1, 1), positive, out=u)  # dL/dz
@@ -305,17 +304,17 @@ def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, z))
 
 
-def _l4_vectors(q4: np.ndarray, protos: np.ndarray, eps: float) -> np.ndarray:
+def _l4_vectors(q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """The float32 confidence vectors of the N correlation maps of the
     (C, H, W) L4 query map q4, one per row of prototype_matrices' (N,
     sum of C_l) output, whose last C columns are the L4 prototypes."""
-    return query_confidence_vectors(query_stats(q4), protos[:, -len(q4):], eps)
+    return query_confidence_vectors(query_stats(q4), protos[:, -len(q4):])
 
 
 def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """Positive-class probabilities of _l4_vectors(q4, protos): the
     vectors that the TPF phase trains on."""
-    return _positive_probs(model, _l4_vectors(q4, protos, model.eps))
+    return _positive_probs(model, _l4_vectors(q4, protos))
 
 
 @dataclass
@@ -351,12 +350,12 @@ def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
     gradient is taken at the weights the loss was, and is one of work's
     arrays."""
     x = np.asarray(maps, dtype=np.float32)
-    v, mu, sd = _confidence_vectors(x, model.eps, work)
+    v, mu, sd = _confidence_vectors(x, work)
     loss, grads, dpre = _vector_loss(model, v, labels)
     input_grads = None
     if want_input_grads:
         dv = dpre @ model.w1.astype(np.float64)
-        input_grads = _confidence_backward(x, dv, model.eps, mu, sd, work)
+        input_grads = _confidence_backward(x, dv, mu, sd, work)
     return loss, grads, input_grads
 
 
@@ -414,8 +413,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"{self.phase.value} learning rate must be positive, "
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"{self.phase.value} learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"{self.phase.value} epochs must be >= 0, got {self.epochs}")
@@ -424,7 +423,8 @@ class TrainConfig:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss, or a trained parameter, becomes
+    non-finite."""
 
 
 def _sample_pairs(episodes: list[Episode],
@@ -461,6 +461,8 @@ def train(
     loss_and_grads does, all in work arrays allocated once per call;
     TPF_ONLY trains the scorer alone on the rows. Returns (model,
     projections, per-epoch mean losses); inputs are not mutated.
+    DivergenceError if a batch's loss, or a parameter after a step, is not
+    finite.
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
@@ -484,7 +486,7 @@ def train(
             ep = episodes[ei]
             new = prototype_matrices({lv: a[cids] for lv, a in ep.shots.items()})
             if not joint:
-                new = _l4_vectors(ep.levels[Level.L4].data, new, model.eps).astype(np.float64)
+                new = _l4_vectors(ep.levels[Level.L4].data, new).astype(np.float64)
             rows.update(((ei, cid), row) for cid, row in zip(cids, new))
         epoch_loss = 0.0
         starts = range(0, len(pairs), cfg.batch_size)
@@ -506,12 +508,19 @@ def train(
 
             lr = cfg.learning_rate
             step = lr * _clip_scale(grads)
-            model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
-            model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
-            model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
-            model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
-            if joint:
-                _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr, work)
+            # A step that overflows a parameter is caught below, before the
+            # next batch fuses or scores with it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
+                model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
+                model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
+                model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
+                if joint:
+                    _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr, work)
+            params = [model.w1, model.b1, model.w2, model.b2, *proj.weights.values(),
+                      *proj.biases.values()]
+            if not all(np.isfinite(a).all() for a in params):
+                raise DivergenceError("a step left a non-finite scorer or projection parameter")
         losses.append(epoch_loss / max(len(starts), 1))
     return model, proj, losses
 

@@ -19,21 +19,21 @@ def random_projector(channels: dict[Level, int], out_channels: int,
     return FusionProjector(weights, biases)
 
 
-def map_vectors(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def map_vectors(maps: np.ndarray) -> np.ndarray:
     """The (N, 2C) float64 confidence vectors of a stack of (N, C, H, W)
     maps (cast to float32 first), from the maps themselves: the forward
     that JOINT runs on its fused maps."""
-    return _confidence_vectors(np.asarray(maps, dtype=np.float32), eps, {})[0]
+    return _confidence_vectors(np.asarray(maps, dtype=np.float32), {})[0]
 
 
 def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     """Positive-class probabilities for a stack of (N, C, H, W) maps, from
     the maps themselves: the reference for factored scoring
     (query_scores), which never forms them."""
-    return _positive_probs(model, map_vectors(maps, model.eps))
+    return _positive_probs(model, map_vectors(maps))
 
 
-def confidence_vectors_oracle(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def confidence_vectors_oracle(maps: np.ndarray) -> np.ndarray:
     """map_vectors as out-of-place expressions: the max-pool as nested
     np.maximum of the window cells, and the row mean and std from x.mean
     and x.std with float64 accumulators."""
@@ -49,7 +49,7 @@ def confidence_vectors_oracle(maps: np.ndarray, eps: float = 1e-5) -> np.ndarray
     flat = x.reshape(n, c, -1)
     mu = flat.mean(axis=2, keepdims=True, dtype=np.float64)
     sd = flat.std(axis=2, keepdims=True, dtype=np.float64)
-    z = (flat - mu.astype(np.float32)) / (sd + eps).astype(np.float32)
+    z = (flat - mu.astype(np.float32)) / (sd + ScoreModel.eps).astype(np.float32)
     glob = np.maximum(z, 0.0).mean(axis=2, dtype=np.float64)
     return np.concatenate([local, glob], axis=1)
 

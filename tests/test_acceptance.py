@@ -40,14 +40,14 @@ def report(capsys, number, ok, detail):
 
 # --- independent nested-loop oracles -----------------------------------------
 
-def oracle_global(data, eps):
+def oracle_global(data):
     c, h, w = data.shape
     out = []
     for ch in range(c):
         vals = [float(data[ch, y, x]) for y in range(h) for x in range(w)]
         mean = sum(vals) / len(vals)
         std = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
-        zs = [(v - mean) / (std + eps) for v in vals]
+        zs = [(v - mean) / (std + ScoreModel.eps) for v in vals]
         out.append(sum(z if z > 0 else 0.0 for z in zs) / len(zs))
     return out
 
@@ -70,7 +70,7 @@ def oracle_local(data):
 
 
 def oracle_forward(model, data):
-    v = oracle_local(data) + oracle_global(data, model.eps)
+    v = oracle_local(data) + oracle_global(data)
     hidden = []
     for i in range(model.w1.shape[0]):
         acc = float(model.b1[i])
@@ -117,13 +117,13 @@ def test_criterion_1_equation_oracles(capsys):
 
         ones = np.ones((1, c), np.float32)
         score = query_scores(model, data, ones)[0]
-        v = query_confidence_vectors(query_stats(data), ones, model.eps)
+        v = query_confidence_vectors(query_stats(data), ones)
         logits = _mlp(model, v)[1][0]
         tpf_probs = _softmax(_mlp(model, v.astype(np.float64))[1])[0]
         worst["closed"] = max(worst["closed"], rel_err(score, o_probs[POSITIVE]),
                               rel_err(logits, o_logits), rel_err(tpf_probs, o_probs))
 
-        logits = _mlp(model, map_vectors(data[None], model.eps))[1]
+        logits = _mlp(model, map_vectors(data[None]))[1]
         probs = _softmax(logits)[0]
         worst["maps"] = max(worst["maps"], rel_err(probs, o_probs),
                             rel_err(logits[0], o_logits))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes,
 determinism of generated artifacts, and config-file handling."""
 
+import inspect
 import io
 import json
 import math
@@ -13,8 +14,11 @@ import pytest
 
 from preselect import checkpoint, pack_io
 from preselect.checkpoint import load_checkpoint, save_checkpoint
-from preselect.cli import EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from preselect.scorer import ScoreModel
+from preselect.cli import (EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                           build_parser, main)
+from preselect.episodes import SynthConfig
+from preselect.metrics import average_precision, evaluate
+from preselect.scorer import ScoreModel, TrainConfig
 from preselect.tensor_ops import Level
 
 GEN_ARGS = ["gen", "--classes", "6", "--present", "2", "--episodes", "6",
@@ -35,6 +39,22 @@ def ckpt(tmp_path, pack):
     path = tmp_path / "model.ckpt"
     assert main(TRAIN_ARGS + ["--pack", str(pack), "-o", str(path)]) == EXIT_OK
     return path
+
+
+def test_parser_defaults_are_the_library_defaults():
+    """Every option default that the library also sets is the library's."""
+    parser = build_parser()
+    gen = parser.parse_args(["gen", "-o", "p.epk"])
+    trn = parser.parse_args(["train", "--pack", "p.epk", "-o", "m.ckpt"])
+    ev = parser.parse_args(["eval", "--checkpoint", "m.ckpt", "--pack", "p.epk"])
+    synth = SynthConfig()
+    assert (gen.classes, gen.present, gen.shots, gen.amplitude, gen.sigma) == \
+        (synth.num_classes, synth.present_count, synth.k, synth.blob_amplitude,
+         synth.noise_sigma)
+    assert trn.hidden == inspect.signature(ScoreModel.init).parameters["hidden"].default
+    assert trn.batch_size == TrainConfig().batch_size
+    assert ev.iou == inspect.signature(evaluate).parameters["iou_threshold"].default
+    assert ev.iou == inspect.signature(average_precision).parameters["iou_threshold"].default
 
 
 class TestGen:
@@ -102,13 +122,32 @@ class TestTrain:
             assert code == EXIT_NUMERICAL
             assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--phases", "tpf", "--lr", "1e300"],
+                                       ["--phases", "joint", "--joint-lr", "1e300"],
+                                       ["--phases", "joint", "--joint-lr", "1e300",
+                                        "--batch-size", "4"]],
+                             ids=["tpf", "joint", "joint-3-batches"])
+    def test_step_overflow_is_numerical_error(self, tmp_path, capsys, flags):
+        """A finite learning rate whose first step overflows the float32
+        parameters exits 2 with one line, and writes no checkpoint: with one
+        batch no loss follows that step, and in JOINT the next batch would
+        fuse with the overflowed projections first."""
+        pack, out = tmp_path / "p.epk", tmp_path / "m.ckpt"
+        assert main(["gen", "--classes", "6", "--episodes", "2", "-o", str(pack)]) == EXIT_OK
+        code = main(["train", "--epochs", "1", "--joint-epochs", "1", "--hidden", "8",
+                     "--pack", str(pack), "-o", str(out)] + flags)
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_NUMERICAL
+        assert len(err) == 1 and "non-finite" in err[0], err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--batch-size", "-5"], ["--batch-size", "0"], ["--epochs", "-1"],
-        ["--joint-epochs", "-2"], ["--hidden", "0"], ["--lr", "-1"],
-        ["--phases", ""], ["--phases", ","], ["-o", "missing/m.ckpt"],
+        ["--joint-epochs", "-2"], ["--hidden", "0"], ["--lr", "-1"], ["--lr", "inf"],
+        ["--joint-lr", "inf"], ["--phases", ""], ["--phases", ","], ["-o", "missing/m.ckpt"],
     ], ids=["batch-negative", "batch-zero", "epochs-negative", "joint-epochs-negative",
-            "hidden-zero", "lr-negative", "phases-empty", "phases-comma", "output-dir-missing"])
+            "hidden-zero", "lr-negative", "lr-inf", "joint-lr-inf", "phases-empty",
+            "phases-comma", "output-dir-missing"])
     def test_bad_number_rejected_before_training(self, tmp_path, pack, capsys, flags):
         """A bad number, or a phase list that names no phase, exits 1 with
         one error line before any output or training, and writes no
@@ -259,7 +298,8 @@ class TestMalformedInputs:
     def test_flipped_checkpoint_header(self, pack, ckpt, capsys, byte):
         """A flipped header byte either still loads or exits 1 with one
         error line; a flipped high byte of the channel count (7) or the
-        hidden width (11) asks for more bytes than the file holds."""
+        hidden width (11) asks for more bytes than the file holds, and a
+        flipped eps byte (12-15) leaves a word other than train's."""
         raw = ckpt.read_bytes()
         for mask in (0x80, 0xFF):
             bad = bytearray(raw)
@@ -268,10 +308,20 @@ class TestMalformedInputs:
             code = main(["eval", "--checkpoint", str(ckpt), "--pack", str(pack)])
             err = capsys.readouterr().err.splitlines()
             assert code in (EXIT_OK, EXIT_VALIDATION)
-            if byte in (7, 11):
+            if byte in (7, 11) or byte >= 12:
                 assert code == EXIT_VALIDATION
             if code == EXIT_VALIDATION:
                 assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("first", [b"x", b"\xff"], ids=["not-json", "not-utf8"])
+    def test_manifest_not_json(self, pack, ckpt, capsys, first):
+        """A manifest whose first byte is not JSON, or not UTF-8: one line
+        naming the pack."""
+        raw = bytearray(pack.read_bytes())
+        raw[8:9] = first
+        pack.write_bytes(bytes(raw))
+        err = self._eval_error(pack, ckpt, capsys)
+        assert err.startswith(f"error: {pack}: malformed manifest: "), err
 
     @pytest.mark.parametrize("key", ["query_id", "present", "gt_boxes"])
     def test_episode_entry_missing_key(self, pack, ckpt, capsys, key):
@@ -378,11 +428,14 @@ class TestMalformedInputs:
         assert "non-finite" in self._eval_error(pack, ckpt, capsys)
 
     def test_nonpositive_eps_checkpoint(self, pack, ckpt, capsys):
+        """An eps word other than float32(ScoreModel.eps), the one train
+        writes, exits 1 with one error line naming the file."""
         raw = bytearray(ckpt.read_bytes())
-        raw[12:16] = struct.pack("<f", 0.0)
-        ckpt.write_bytes(bytes(raw))
-        err = self._eval_error(pack, ckpt, capsys)
-        assert err.startswith(f"error: {ckpt}: ") and "eps" in err
+        for eps in (0.0, -1e-5, float("nan"), float("inf"), 2e-5):
+            raw[12:16] = struct.pack("<f", eps)
+            ckpt.write_bytes(bytes(raw))
+            err = self._eval_error(pack, ckpt, capsys)
+            assert err.startswith(f"error: {ckpt}: ") and "eps" in err, err
 
     @pytest.mark.parametrize("command", ["eval", "bench"])
     @pytest.mark.parametrize("case", ["hidden-zero", "fusion-zero", "fusion-l2-narrow"])
@@ -563,12 +616,15 @@ class TestConfigFile:
         {"top_n": "abc"},   # nor is --top-n abc
         {"threshold": [1]},  # a list is no command-line value
         {"top_k": 3},       # no command has --top-k
-    ], ids=["list", "string", "float-for-int", "text-for-int", "list-value", "unknown-key"])
+        b'{"top_n": 3,}',   # not JSON
+        b"\xff",            # not UTF-8
+    ], ids=["list", "string", "float-for-int", "text-for-int", "list-value", "unknown-key",
+            "not-json", "not-utf8"])
     def test_malformed_config_rejected(self, tmp_path, pack, ckpt, capsys, config):
-        """Each case exits 1 with one error line and prints nothing, before
-        any command runs."""
+        """Each case exits 1 with one error line naming the file and prints
+        nothing, before any command runs. Bytes are the file as written."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         code = main(["--config", str(cfg), "eval", "--checkpoint", str(ckpt),
                      "--pack", str(pack)])
         out, err = capsys.readouterr()

@@ -1,8 +1,9 @@
 """Property tests of the readers through the CLI: a pack (EPK1) or a
 checkpoint (TPF1) cut at any offset, or with any one byte flipped, never
-gives a traceback. A cut file exits 1 with one `error:` line; a flipped
-byte exits 0, or 1 with one `error:` line. A NaN map value in a pack exits
-1 with one line that names the pack, the episode and the value's offset.
+gives a traceback. A cut file exits 1 with one `error:` line naming it; a
+flipped byte exits 0, or 1 with one `error:` line naming the file. A NaN
+map value in a pack exits 1 with one line that names the pack, the episode
+and the value's offset.
 
 The examples are derandomized and bounded, so a run is deterministic and
 takes about two seconds.
@@ -41,11 +42,16 @@ def files(tmp_path_factory):
     }
 
 
+def _case(files, target):
+    """The path that _eval writes target's changed bytes to."""
+    return files[target][0].with_name(f"case-{target}")
+
+
 def _eval(files, target, data):
     """Run eval with target's bytes replaced by data and the other file as
     made; (exit code, stderr lines)."""
     paths = {name: path for name, (path, _, _) in files.items()}
-    paths[target] = paths[target].with_name(f"case-{target}")
+    paths[target] = _case(files, target)
     paths[target].write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -68,6 +74,7 @@ def test_truncated_anywhere(files, target):
         code, err = _eval(files, target, files[target][1][:cut])
         assert code == EXIT_VALIDATION
         assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(_case(files, target)) in err[0], err
 
     check()
 
@@ -83,6 +90,7 @@ def test_flipped_byte_anywhere(files, target):
         assert code in (EXIT_OK, EXIT_VALIDATION)
         if code == EXIT_VALIDATION:
             assert len(err) == 1 and err[0].startswith("error:"), err
+            assert str(_case(files, target)) in err[0], err
 
     check()
 

@@ -11,9 +11,10 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_OK, main
-from preselect.episodes import SynthConfig, synth_episodes
+from preselect.episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
 from preselect.pack_io import read_pack, write_pack
-from preselect.scorer import ScoreModel
+from preselect.scorer import Phase, ScoreModel, TrainConfig, query_scores, train
+from preselect.selector import TopN, run_inference
 from preselect.tensor_ops import Level
 
 from helpers import odd_episodes, random_projector, scores_batch
@@ -248,7 +249,6 @@ class TestCheckpoint:
         np.testing.assert_array_equal(m2.b1, model.b1)
         np.testing.assert_array_equal(m2.w2, model.w2)
         np.testing.assert_array_equal(m2.b2, model.b2)
-        assert m2.eps == pytest.approx(model.eps)
         for lv in proj.weights:
             np.testing.assert_array_equal(p2.weights[lv], proj.weights[lv])
             np.testing.assert_array_equal(p2.biases[lv], proj.biases[lv])
@@ -284,3 +284,23 @@ class TestCheckpoint:
         for _ in range(5):
             m = FeatureMap(rng.standard_normal((8, 4, 4)).astype(np.float32))
             assert scores_batch(m2, m.data[None])[0] == scores_batch(model, m.data[None])[0]
+
+    def test_trained_model_reloads_bitwise(self, tmp_path):
+        """A TPF-trained model and its saved-and-loaded copy give the same
+        query_scores bytes on 64 noisy 20-way episodes (1280 pairs), and
+        run_inference gives the same selection, scores and detections."""
+        train_eps = synth_episodes(SynthConfig(), 1, 32)
+        channels = {lv: m.channels for lv, m in train_eps[0].levels.items()}
+        model, proj, _ = train(ScoreModel.init(64, hidden=64, seed=0),
+                               FusionProjector.identity(channels, 64), train_eps,
+                               TrainConfig(learning_rate=0.5, epochs=4, phase=Phase.TPF_ONLY))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, proj)
+        m2, p2 = load_checkpoint(path)
+        for ep in synth_episodes(SynthConfig(noise_sigma=0.6, blob_amplitude=3.0), 5, 64):
+            q4, protos = ep.levels[Level.L4].data, prototype_matrices(ep.shots)
+            assert query_scores(m2, q4, protos).tobytes() == \
+                query_scores(model, q4, protos).tobytes()
+            got, want = (run_inference(m, p, ep, TopN(10)) for m, p in ((m2, p2), (model, proj)))
+            assert (got.selected, got.scores, got.detections) == \
+                (want.selected, want.scores, want.detections)

@@ -59,9 +59,9 @@ def tiny_model(rng, channels=2, hidden=3):
     )
 
 
-def vector(arr, eps=1e-5):
+def vector(arr):
     """Confidence vector of one (C, H, W) map, through the map form."""
-    return map_vectors(np.asarray(arr, np.float32)[None], eps)[0]
+    return map_vectors(np.asarray(arr, np.float32)[None])[0]
 
 
 MAP_SHAPES = [(32, 64, 8, 8), (3, 3, 5, 6), (2, 4, 3, 3), (4, 2, 2, 2)]
@@ -86,7 +86,7 @@ class TestRepresentations:
 
     def test_global_two_value_channel(self):
         # standardize([[0,2],[0,2]]) = [[-1,1],[-1,1]]; relu then avg = 0.5
-        out = vector([[[0, 2], [0, 2]]], eps=1e-12)[1:]
+        out = vector([[[0, 2], [0, 2]]])[1:]
         assert out[0] == pytest.approx(0.5, abs=1e-4)
 
     def test_global_shift_invariance(self):
@@ -129,7 +129,7 @@ class TestPredict:
     @staticmethod
     def _logits(model, q):
         ones = np.ones((1, len(q)), np.float32)
-        return _mlp(model, query_confidence_vectors(query_stats(q), ones, model.eps))[1]
+        return _mlp(model, query_confidence_vectors(query_stats(q), ones))[1]
 
     @staticmethod
     def _score(model, q):
@@ -181,13 +181,6 @@ class TestPredict:
             self._score(model, q)
         with pytest.raises(ValueError):
             self._logits(model, q)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_rejects_bad_eps(self, eps):
-        rng = np.random.default_rng(12)
-        m = tiny_model(rng)
-        with pytest.raises(ValueError):
-            ScoreModel(m.w1, m.b1, m.w2, m.b2, eps=eps)
 
     @pytest.mark.parametrize("layer,shape", [
         ("w1", (3, 0)), ("w1", (3, 5)), ("b1", (4,)), ("w2", (2, 4)), ("w2", (3, 3)),
@@ -287,20 +280,20 @@ class TestFactoredScoring:
                 loss_and_grads(tiny_model(rng), batch, True)
 
 
-def backward(maps, grad_v, eps=1e-5):
+def backward(maps, grad_v):
     """dVector/dMap of float32 maps as _map_loss takes it: the forward, then
     _confidence_backward on the forward's row statistics, in one work dict."""
     work = {}
-    _, mu, sd = scorer._confidence_vectors(maps, eps, work)
-    return scorer._confidence_backward(maps, grad_v, eps, mu, sd, work)
+    _, mu, sd = scorer._confidence_vectors(maps, work)
+    return scorer._confidence_backward(maps, grad_v, mu, sd, work)
 
 
-def oracle_backward(data, grad_v, eps):
+def oracle_backward(data, grad_v):
     """Nested-loop dVector/dMap for one (C, H, W) map.
 
     Local: each 2x2 window's gradient goes to its first maximum in
     row-major order. Global: the derivative of mean(relu(z)) with
-    z = (x - mean) / (std + eps), written out per element.
+    z = (x - mean) / (std + ScoreModel.eps), written out per element.
     """
     c, h, w = data.shape
     ph, pw = h // 2, w // 2
@@ -319,7 +312,7 @@ def oracle_backward(data, grad_v, eps):
         vals = [float(data[ch, y, x]) for y in range(h) for x in range(w)]
         mean = sum(vals) / n
         std = math.sqrt(sum((v - mean) ** 2 for v in vals) / n)
-        s = std + eps
+        s = std + ScoreModel.eps
         pos = [(v - mean) / s > 0 for v in vals]
         n_pos = sum(pos)
         pos_dev = sum(v - mean for v, p in zip(vals, pos) if p)
@@ -406,9 +399,8 @@ class TestGradients:
         maps[1, 0, 0:2, 0:2] = [[1.0, 3.0], [3.0, 3.0]]  # first argmax is (0, 1)
         maps[2, 1] = 0.25
         grad_v = rng.standard_normal((3, 6))
-        eps = 1e-5
-        got = backward(maps, grad_v, eps)
-        want = [oracle_backward(maps[i], grad_v[i], eps) for i in range(3)]
+        got = backward(maps, grad_v)
+        want = [oracle_backward(maps[i], grad_v[i]) for i in range(3)]
         assert np.abs(got - np.array(want)).max() / np.abs(want).max() < 1e-12
 
     @pytest.mark.parametrize("shape", MAP_SHAPES)
@@ -458,7 +450,7 @@ class TestGradients:
             loss_and_grads(tiny_model(rng), [])
 
 
-def mask_form_backward(maps, grad_v, eps=1e-5):
+def mask_form_backward(maps, grad_v):
     """The backward as an argmax one-hot mask and np.where for
     the local branch, and out-of-place (N, C, H, W) temporaries for the
     global branch."""
@@ -476,7 +468,7 @@ def mask_form_backward(maps, grad_v, eps=1e-5):
     ).reshape(n, ch, ph * 2, pw * 2)
     mu = x.mean(axis=(2, 3), keepdims=True)
     sd = x.std(axis=(2, 3), keepdims=True)
-    s = sd + eps
+    s = sd + ScoreModel.eps
     d = x - mu
     z = d / s
     u = (grad_global / (h * w)) * (z > 0)
@@ -568,8 +560,9 @@ class TestTrain:
         eps = small_episodes()
         model, proj = fresh_state(eps)
         # A clipped step moves the scorer by at most lr. At 1e30 a picked
-        # probability underflows to 0 (an infinite loss); at 1e39 one step
-        # overflows the float32 weights, whose warnings are expected.
+        # probability underflows to 0 (an infinite loss), whose overflow
+        # warnings are expected; at 1e39 one step overflows the float32
+        # weights.
         for lr in (1e30, 1e39):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError):
                 train(model, proj, eps,
@@ -589,9 +582,9 @@ class TestTrain:
 
         l4_vectors = scorer._l4_vectors
 
-        def vectors(q4, protos, eps):
+        def vectors(q4, protos):
             built.append(len(protos))
-            return l4_vectors(q4, protos, eps)
+            return l4_vectors(q4, protos)
 
         monkeypatch.setattr(scorer, "_sample_pairs", sample)
         monkeypatch.setattr(scorer, "_l4_vectors", vectors)
@@ -739,7 +732,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
                 q4 = ep.levels[Level.L4]
                 if not (joint or tpf_maps):
                     vectors.append(query_confidence_vectors(
-                        query_stats(q4.data), proto.vectors[Level.L4][None], model.eps)[0])
+                        query_stats(q4.data), proto.vectors[Level.L4][None])[0])
                     continue
                 if not joint:
                     batch.append((correlate(q4, proto.vectors[Level.L4]), label))
