@@ -34,10 +34,8 @@ def save_checkpoint(path, model: ScoreModel, proj: FusionProjector) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIf", model.in_channels, hidden, ScoreModel.eps))
-        _write_blob(f, model.w1)
-        _write_blob(f, model.b1)
-        _write_blob(f, model.w2)
-        _write_blob(f, model.b2)
+        for a in model.layers:
+            _write_blob(f, a)
         f.write(struct.pack("<I", len(FEATURE_LEVELS)))
         for lv in FEATURE_LEVELS:
             w = proj.weights[lv]

@@ -5,14 +5,15 @@ branches (a local max-pooled average and a global normalized-rectified
 average), then a small MLP (2C -> hidden -> 2) turns that vector into
 existence logits. The global branch standardizes with ScoreModel.eps,
 one constant that every forward, the backward and a checkpoint read, so
-a reloaded model scores as it did. One closed form scores every
-prototype x query map from the query's statistics and the prototype,
-without forming the map (_l4_vectors, in float32): inference runs the MLP
-on those vectors in float32 (query_scores), the TPF phase in float64.
-Only JOINT forms maps, the fused ones, and scores a batch of them in one
-call (_map_loss: the confidence vectors, then _mlp in float64), which
-loss_and_grads shares. Backprop is written by hand: through the MLP, and
-through both pooling branches down to the input maps so the fusion
+a reloaded model scores as it did. One closed form, _l4_vectors, gives
+the float32 vector of every prototype x query map from the query's
+per-channel statistics and the prototype, without forming the map:
+query_scores runs the MLP on those vectors in float32, the TPF phase in
+float64. Only JOINT forms maps, the fused ones, and scores a batch of
+them in one call (_map_loss: the confidence vectors, then _mlp in
+float64), which loss_and_grads shares. Backprop is written by hand:
+through the MLP, whose gradient is a ScoreModel of the same four layers,
+and through both pooling branches down to the input maps so the fusion
 projections can be trained jointly. Each step writes its arrays into a
 work dict (_empty): loss_and_grads passes a new one per call, and a JOINT
 train call one for all its batches.
@@ -47,6 +48,11 @@ class ScoreModel:
     eps = 1e-5  # the global branch's standardization eps: a constant, not a field
 
     @property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2): the order of every walk over the layers."""
+        return self.w1, self.b1, self.w2, self.b2
+
+    @property
     def in_channels(self) -> int:
         return self.w1.shape[1] // 2
 
@@ -71,14 +77,13 @@ class ScoreModel:
 
     def __post_init__(self):
         hidden, width = self.w1.shape
-        shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2)]
+        shapes = [a.shape for a in self.layers]
         if min(hidden, width) < 1 or width % 2 or shapes[1:] != [(hidden,), (2, hidden), (2,)]:
             raise ValueError(f"layer shapes {shapes} are not (h, 2C), (h,), (2, h), (2,) "
                              f"with a hidden width h >= 1 and C >= 1")
 
     def copy(self) -> "ScoreModel":
-        return ScoreModel(self.w1.copy(), self.b1.copy(),
-                          self.w2.copy(), self.b2.copy())
+        return ScoreModel(*(a.copy() for a in self.layers))
 
 
 # The arrays that one training step writes into, one byte buffer per name.
@@ -134,72 +139,6 @@ def _confidence_vectors(x: np.ndarray, work: _Work
     np.maximum(z, 0.0, out=z)
     z.mean(axis=2, dtype=np.float64, out=v[:, c:])
     return v, mu, sd
-
-
-def query_stats(query: np.ndarray) -> np.ndarray:
-    """Per-channel statistics of one (C, H, W) query map that every class's
-    confidence vector is built from: (4, C) float64 rows holding the mean
-    of the 2x2 max-pooled map, the mean of the 2x2 min-pooled map (an odd
-    last row/column is dropped from both), the spatial std, and the mean
-    of relu(q - spatial mean).
-
-    All work is float64 after one conversion. Mixed float32/float64
-    reductions take numpy's buffered casting path, which costs more here
-    than it saves when the query arrives with cold caches.
-    """
-    x = np.asarray(query, dtype=np.float64)
-    c, h, w = x.shape
-    if h < 2 or w < 2:
-        raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
-    ph, pw = h // 2, w // 2
-    k, n = ph * pw, h * w
-    # One copy puts each window's four cells on a leading axis, so the max
-    # and the min are one reduction each.
-    windows = (x[:, : ph * 2, : pw * 2].reshape(c, ph, 2, pw, 2)
-               .transpose(2, 4, 0, 1, 3).reshape(4, c, k))
-    pooled = np.empty((2, c, k))
-    np.maximum.reduce(windows, out=pooled[0])
-    np.minimum.reduce(windows, out=pooled[1])
-    stats = np.empty((4, c))
-    np.add.reduce(pooled, axis=2, out=stats[:2])
-    flat = x.reshape(c, n)
-    d = flat - np.add.reduce(flat, axis=1, keepdims=True) / n
-    spread = np.empty((2, c, n))
-    np.square(d, out=spread[0])
-    np.maximum(d, 0.0, out=spread[1])
-    np.add.reduce(spread, axis=2, out=stats[2:])
-    stats[:2] /= k
-    stats[2:] /= n
-    np.sqrt(stats[2], out=stats[2])
-    return stats
-
-
-def query_confidence_vectors(stats: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """The confidence vectors of the N correlation maps protos[n] * q, from
-    q's statistics (query_stats), without forming the maps.
-
-    protos is (N, C); returns (N, 2C) computed in float64 and stored in
-    float32, the MLP's precision at inference. Max-pooling commutes with a
-    scale p >= 0 and turns into min-pooling for p < 0, so the local branch
-    is p * mean maxpool(q) or p * mean minpool(q): the larger of the two,
-    as mean maxpool >= mean minpool. Standardizing p * q gives
-    sign(p) (q - mu) / (sd + eps / |p|), and the mean of relu(d) equals that
-    of relu(-d) when d has zero mean, so the global branch is
-    |p| g / (|p| sd + eps) with g = mean relu(q - mu), which stays below
-    1/2. ValueError if a local entry would overflow float32; the
-    correlation map would overflow too.
-    """
-    p = np.asarray(protos)
-    n, c = p.shape
-    v = np.empty((n, 2 * c), np.float32)
-    scaled = stats[:, None, :] * p  # (4, N, C): each statistic times p
-    size = np.abs(scaled)  # rows 2 and 3 are |p| sd and |p| g
-    if size[:2].max(initial=0.0) > _FLOAT32_MAX:
-        raise ValueError("confidence vector overflows float32")
-    np.maximum(scaled[0], scaled[1], out=v[:, :c])
-    size[2] += ScoreModel.eps
-    np.divide(size[3], size[2], out=v[:, c:])
-    return v
 
 
 def _confidence_backward(x: np.ndarray, grad_v: np.ndarray, mu: np.ndarray, sd: np.ndarray,
@@ -291,45 +230,85 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _positive_probs(model: ScoreModel, v: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities of confidence vectors (N, 2C). The MLP
-    runs in float32 to keep scoring cheap; training's runs in float64.
+def _l4_vectors(q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """The confidence vectors of the N correlation maps p * q of the
+    (C, H, W) L4 query map q, without forming the maps. protos is
+    prototype_matrices' (N, sum of C_l) output, whose last C columns are
+    the L4 prototypes p; returns (N, 2C) computed in float64 and stored in
+    float32, the MLP's precision at inference.
+
+    Each map's vector follows from four per-channel statistics of q: the
+    means of its 2x2 max- and min-pooled maps (an odd last row/column is
+    dropped from both), its spatial std sd, and g = mean relu(q - mu) for
+    its spatial mean mu. Max-pooling commutes with a scale p >= 0 and turns
+    into min-pooling for p < 0, so the local branch is p * mean maxpool(q)
+    or p * mean minpool(q): the larger of the two, as mean maxpool >= mean
+    minpool. Standardizing p * q gives sign(p) (q - mu) / (sd + eps / |p|),
+    and the mean of relu(d) equals that of relu(-d) when d has zero mean,
+    so the global branch is |p| g / (|p| sd + eps), which stays below 1/2.
+
+    All work is float64 after one conversion. Mixed float32/float64
+    reductions take numpy's buffered casting path, which costs more here
+    than it saves when the query arrives with cold caches. ValueError if q
+    is smaller than 2x2, or if a local entry would overflow float32; the
+    correlation map would overflow too.
+    """
+    x = np.asarray(q4, dtype=np.float64)
+    c, h, w = x.shape
+    if h < 2 or w < 2:
+        raise ValueError(f"max pooling needs spatial dims >= 2x2, got {h}x{w}")
+    ph, pw = h // 2, w // 2
+    k, hw = ph * pw, h * w
+    # One copy puts each window's four cells on a leading axis, so the max
+    # and the min are one reduction each.
+    windows = (x[:, : ph * 2, : pw * 2].reshape(c, ph, 2, pw, 2)
+               .transpose(2, 4, 0, 1, 3).reshape(4, c, k))
+    pooled = np.empty((2, c, k))
+    np.maximum.reduce(windows, out=pooled[0])
+    np.minimum.reduce(windows, out=pooled[1])
+    stats = np.empty((4, c))  # mean maxpool, mean minpool, sd, g
+    np.add.reduce(pooled, axis=2, out=stats[:2])
+    flat = x.reshape(c, hw)
+    d = flat - np.add.reduce(flat, axis=1, keepdims=True) / hw
+    spread = np.empty((2, c, hw))
+    np.square(d, out=spread[0])
+    np.maximum(d, 0.0, out=spread[1])
+    np.add.reduce(spread, axis=2, out=stats[2:])
+    stats[:2] /= k
+    stats[2:] /= hw
+    np.sqrt(stats[2], out=stats[2])
+
+    p = protos[:, -c:]
+    v = np.empty((len(p), 2 * c), np.float32)
+    scaled = stats[:, None, :] * p  # (4, N, C): each statistic times p
+    size = np.abs(scaled)  # rows 2 and 3 are |p| sd and |p| g
+    if size[:2].max(initial=0.0) > _FLOAT32_MAX:
+        raise ValueError("confidence vector overflows float32")
+    np.maximum(scaled[0], scaled[1], out=v[:, :c])
+    size[2] += ScoreModel.eps
+    np.divide(size[3], size[2], out=v[:, c:])
+    return v
+
+
+def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities of the classes of _l4_vectors(q4,
+    protos), the vectors that the TPF phase trains on. The MLP runs in
+    float32 to keep scoring cheap; training's runs in float64.
 
     The two-class softmax is 1 / (1 + exp(l0 - l1)), taken in float64 as
     exp(-logaddexp(0, l0 - l1)) so that no logit gap overflows; it agrees
     with _softmax to a few ulp.
     """
-    logits = _mlp(model, v.astype(np.float32, copy=False))[1]
+    logits = _mlp(model, _l4_vectors(q4, protos))[1]
     z = logits[:, 1 - POSITIVE].astype(np.float64) - logits[:, POSITIVE]
     return np.exp(-np.logaddexp(0.0, z))
-
-
-def _l4_vectors(q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """The float32 confidence vectors of the N correlation maps of the
-    (C, H, W) L4 query map q4, one per row of prototype_matrices' (N,
-    sum of C_l) output, whose last C columns are the L4 prototypes."""
-    return query_confidence_vectors(query_stats(q4), protos[:, -len(q4):])
-
-
-def query_scores(model: ScoreModel, q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities of _l4_vectors(q4, protos): the
-    vectors that the TPF phase trains on."""
-    return _positive_probs(model, _l4_vectors(q4, protos))
-
-
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def loss_and_grads(
     model: ScoreModel,
     batch: list[tuple[FeatureMap, int]],
     want_input_grads: bool = False,
-) -> tuple[float, Gradients, np.ndarray | None]:
+) -> tuple[float, ScoreModel, np.ndarray | None]:
     """Mean cross-entropy over (map, label) pairs with analytic gradients.
 
     label is 1 for present, 0 for absent; all maps share one shape. When
@@ -345,7 +324,7 @@ def loss_and_grads(
 
 def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
               want_input_grads: bool, work: _Work
-              ) -> tuple[float, Gradients, np.ndarray | None]:
+              ) -> tuple[float, ScoreModel, np.ndarray | None]:
     """loss_and_grads of (N, C, H, W) maps and their N labels; the input
     gradient is taken at the weights the loss was, and is one of work's
     arrays."""
@@ -360,9 +339,9 @@ def _map_loss(model: ScoreModel, maps: np.ndarray, labels: np.ndarray,
 
 
 def _vector_loss(model: ScoreModel, v: np.ndarray,
-                 labels: np.ndarray) -> tuple[float, Gradients, np.ndarray]:
-    """(loss, scorer gradients, dLoss/d(w1 v + b1)) of the mean
-    cross-entropy over (N, 2C) float64 confidence vectors and their N
+                 labels: np.ndarray) -> tuple[float, ScoreModel, np.ndarray]:
+    """(loss, scorer gradient as a ScoreModel, dLoss/d(w1 v + b1)) of the
+    mean cross-entropy over (N, 2C) float64 confidence vectors and their N
     labels; dLoss/dv is that last (N, hidden) array @ w1. A pair whose
     picked probability underflows to 0 gives an infinite loss."""
     n = len(v)
@@ -381,18 +360,18 @@ def _vector_loss(model: ScoreModel, v: np.ndarray,
     gw1 = dpre.T @ v
     gb1 = dpre.sum(axis=0)
 
-    grads = Gradients(
-        gw1.astype(np.float32), gb1.astype(np.float32),
-        gw2.astype(np.float32), gb2.astype(np.float32),
-    )
+    # A diverging run can overflow float32 here; train raises
+    # DivergenceError on the loss or the parameters that follow.
+    with np.errstate(over="ignore"):
+        grads = ScoreModel(*(g.astype(np.float32) for g in (gw1, gb1, gw2, gb2)))
     return loss, grads, dpre
 
 
-def _clip_scale(grads: Gradients) -> float:
+def _clip_scale(grads: ScoreModel) -> float:
     """The factor that brings the scorer gradient's global L2 norm down to
     GRAD_CLIP, or 1.0 if it is already within it."""
     squares = 0.0
-    for g in (grads.w1, grads.b1, grads.w2, grads.b2):
+    for g in grads.layers:
         v = g.ravel().astype(np.float64)
         squares += float(v @ v)
     norm = math.sqrt(squares)
@@ -466,7 +445,7 @@ def train(
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
-    model = model.copy()
+    model = model.copy()  # each SGD step updates its arrays in place
     proj = proj.copy()
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
@@ -511,14 +490,11 @@ def train(
             # A step that overflows a parameter is caught below, before the
             # next batch fuses or scores with it.
             with np.errstate(over="ignore", invalid="ignore"):
-                model.w1 = (model.w1 - step * grads.w1).astype(np.float32)
-                model.b1 = (model.b1 - step * grads.b1).astype(np.float32)
-                model.w2 = (model.w2 - step * grads.w2).astype(np.float32)
-                model.b2 = (model.b2 - step * grads.b2).astype(np.float32)
+                for a, g in zip(model.layers, grads.layers):
+                    a -= step * g
                 if joint:
                     _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr, work)
-            params = [model.w1, model.b1, model.w2, model.b2, *proj.weights.values(),
-                      *proj.biases.values()]
+            params = [*model.layers, *proj.weights.values(), *proj.biases.values()]
             if not all(np.isfinite(a).all() for a in params):
                 raise DivergenceError("a step left a non-finite scorer or projection parameter")
         losses.append(epoch_loss / max(len(starts), 1))

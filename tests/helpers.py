@@ -3,7 +3,7 @@
 import numpy as np
 
 from preselect.episodes import FEATURE_LEVELS, Episode, FusionProjector
-from preselect.scorer import ScoreModel, _confidence_vectors, _positive_probs
+from preselect.scorer import POSITIVE, ScoreModel, _confidence_vectors, _mlp
 from preselect.tensor_ops import FeatureMap, Level
 
 
@@ -29,8 +29,12 @@ def map_vectors(maps: np.ndarray) -> np.ndarray:
 def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     """Positive-class probabilities for a stack of (N, C, H, W) maps, from
     the maps themselves: the reference for factored scoring
-    (query_scores), which never forms them."""
-    return _positive_probs(model, map_vectors(maps))
+    (query_scores), which never forms them. The MLP runs in float32 and the
+    two-class softmax is exp(-logaddexp(0, l0 - l1)) in float64, as
+    query_scores takes them."""
+    logits = _mlp(model, map_vectors(maps).astype(np.float32))[1]
+    z = logits[:, 1 - POSITIVE].astype(np.float64) - logits[:, POSITIVE]
+    return np.exp(-np.logaddexp(0.0, z))
 
 
 def confidence_vectors_oracle(maps: np.ndarray) -> np.ndarray:

@@ -23,9 +23,8 @@ from preselect.cli import EXIT_OK, main
 from preselect.cost import REFERENCE_PROFILE, predict_time
 from preselect.episodes import FusionProjector, SynthConfig, synth_episodes
 from preselect.metrics import average_precision, collect_detections, evaluate, omission_rate
-from preselect.scorer import (POSITIVE, Phase, ScoreModel, TrainConfig, _mlp, _softmax,
-                              loss_and_grads, query_confidence_vectors, query_scores,
-                              query_stats, train)
+from preselect.scorer import (POSITIVE, Phase, ScoreModel, TrainConfig, _l4_vectors, _mlp,
+                              _softmax, loss_and_grads, query_scores, train)
 from preselect.selector import Adaptive, All, TopN, run_inference
 from preselect.tensor_ops import FeatureMap, Level
 
@@ -117,7 +116,7 @@ def test_criterion_1_equation_oracles(capsys):
 
         ones = np.ones((1, c), np.float32)
         score = query_scores(model, data, ones)[0]
-        v = query_confidence_vectors(query_stats(data), ones)
+        v = _l4_vectors(data, ones)
         logits = _mlp(model, v)[1][0]
         tpf_probs = _softmax(_mlp(model, v.astype(np.float64))[1])[0]
         worst["closed"] = max(worst["closed"], rel_err(score, o_probs[POSITIVE]),

@@ -109,17 +109,27 @@ class TestTrain:
                                   "-o", str(tmp_path / "m.ckpt")])
         assert code == EXIT_VALIDATION
 
-    def test_divergence_is_numerical_error(self, tmp_path, pack):
-        # A clipped step moves the scorer by at most lr. At 1e30 the logits
-        # grow until a picked probability underflows to 0 (an infinite
-        # loss); at 1e39 one step overflows the float32 weights.
-        for lr in ("1e30", "1e39"):
-            out = tmp_path / f"m{lr}.ckpt"
-            with np.errstate(all="ignore"):
-                code = main(["train", "--phases", "tpf", "--epochs", "5",
-                             "--lr", lr, "--hidden", "16",
-                             "--pack", str(pack), "-o", str(out)])
+    def test_divergence_is_numerical_error(self, tmp_path, capsys, pack):
+        """A clipped step moves the scorer by at most lr. At 1e30 the logits
+        grow until a picked probability underflows to 0 (an infinite loss);
+        at 1e39 one step overflows the float32 weights. JOINT at 1e30 on a
+        16-episode 20-class pack overflows its float32 gradients. Each exits
+        2 with one line, with no warning before it, and writes no
+        checkpoint."""
+        joint_pack = tmp_path / "joint.epk"
+        assert main(["gen", "--classes", "20", "--episodes", "16",
+                     "-o", str(joint_pack)]) == EXIT_OK
+        runs = [(["--phases", "tpf", "--epochs", "5", "--lr", lr, "--hidden", "16"], pack)
+                for lr in ("1e30", "1e39")]
+        runs.append((["--phases", "joint", "--joint-epochs", "2", "--joint-lr", "1e30",
+                      "--hidden", "8"], joint_pack))
+        capsys.readouterr()
+        for i, (flags, data) in enumerate(runs):
+            out = tmp_path / f"m{i}.ckpt"
+            code = main(["train", "--pack", str(data), "-o", str(out)] + flags)
+            err = capsys.readouterr().err.splitlines()
             assert code == EXIT_NUMERICAL
+            assert len(err) == 1 and err[0].startswith("numerical failure:"), err
             assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--phases", "tpf", "--lr", "1e300"],

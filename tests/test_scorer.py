@@ -27,13 +27,12 @@ from preselect.scorer import (
     Phase,
     ScoreModel,
     TrainConfig,
+    _l4_vectors,
     _mlp,
     _sample_pairs,
     _softmax,
     loss_and_grads,
-    query_confidence_vectors,
     query_scores,
-    query_stats,
     train,
 )
 from preselect.tensor_ops import FeatureMap, Level, block_mean
@@ -123,13 +122,13 @@ class TestRepresentations:
 
 class TestPredict:
     """The inference forward on one map: query_scores for its score, _mlp
-    on query_confidence_vectors for its logits, both with an all-ones
-    prototype, whose correlation map is the map itself."""
+    on _l4_vectors for its logits, both with an all-ones prototype, whose
+    correlation map is the map itself."""
 
     @staticmethod
     def _logits(model, q):
         ones = np.ones((1, len(q)), np.float32)
-        return _mlp(model, query_confidence_vectors(query_stats(q), ones))[1]
+        return _mlp(model, _l4_vectors(q, ones))[1]
 
     @staticmethod
     def _score(model, q):
@@ -263,15 +262,15 @@ class TestFactoredScoring:
         p[0] = 0.0
         p[1] = -np.abs(p[1])
         want = map_vectors(q[None] * p[:, :, None, None])
-        got = query_confidence_vectors(query_stats(q), p)
+        got = _l4_vectors(q, p)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         assert not got[0].any()
 
     def test_stats_reject_undersized_query(self):
-        """query_stats rejects a 1x4 query, and loss_and_grads with input
+        """_l4_vectors rejects a 1x4 query, and loss_and_grads with input
         gradients rejects 1x4 maps in its forward, before anything warns."""
         with pytest.raises(ValueError):
-            query_stats(np.ones((2, 1, 4), np.float32))
+            _l4_vectors(np.ones((2, 1, 4), np.float32), np.ones((1, 2), np.float32))
         rng = np.random.default_rng(18)
         batch = [(random_map(rng, 2, 1, 4), i % 2) for i in range(2)]
         with warnings.catch_warnings():
@@ -560,13 +559,13 @@ class TestTrain:
         eps = small_episodes()
         model, proj = fresh_state(eps)
         # A clipped step moves the scorer by at most lr. At 1e30 a picked
-        # probability underflows to 0 (an infinite loss), whose overflow
-        # warnings are expected; at 1e39 one step overflows the float32
-        # weights.
-        for lr in (1e30, 1e39):
-            with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-                train(model, proj, eps,
-                      TrainConfig(epochs=5, phase=Phase.TPF_ONLY, learning_rate=lr))
+        # probability underflows to 0 (an infinite loss), after JOINT's
+        # float32 gradients overflow; at 1e39 one step overflows the float32
+        # weights. None of them warns on the way.
+        for phase in (Phase.TPF_ONLY, Phase.JOINT):
+            for lr in (1e30, 1e39):
+                with pytest.raises(DivergenceError):
+                    train(model, proj, eps, TrainConfig(epochs=5, phase=phase, learning_rate=lr))
 
     def test_tpf_builds_each_vector_once(self, monkeypatch):
         """Over 3 TPF epochs, the closed form (_l4_vectors) builds one row
@@ -599,15 +598,16 @@ class TestTrain:
         eps = small_episodes()
         model, proj = fresh_state(eps)
         fed, orders, rows = [], [], []
-        positive_probs, vector_loss = scorer._positive_probs, scorer._vector_loss
+        l4_vectors, vector_loss = scorer._l4_vectors, scorer._vector_loss
 
-        def feed(m, v):
-            fed.append(v)
-            return positive_probs(m, v)
+        def feed(q4, protos):
+            fed.append(l4_vectors(q4, protos))
+            return fed[-1]
 
-        monkeypatch.setattr(scorer, "_positive_probs", feed)
+        monkeypatch.setattr(scorer, "_l4_vectors", feed)
         for ep in eps:
             query_scores(model, ep.levels[Level.L4].data, prototype_matrices(ep.shots))
+        monkeypatch.setattr(scorer, "_l4_vectors", l4_vectors)
 
         def sample(*args):
             orders.append(_sample_pairs(*args))  # train shuffles it in place
@@ -707,7 +707,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
     clipped to a gradient of global L2 norm GRAD_CLIP, its squared norm
     summed over the four arrays in float64.
 
-    TPF scores each pair alone through query_confidence_vectors, as
+    TPF scores each pair alone through _l4_vectors, as
     inference does, and runs the float64 MLP loss on the vectors. With
     tpf_maps set, it forms the pair's L4 correlation map instead and
     scores it through loss_and_grads: the map form TPF used to train on.
@@ -731,8 +731,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
                 proto = build_prototype(cid, ep.supports[cid])
                 q4 = ep.levels[Level.L4]
                 if not (joint or tpf_maps):
-                    vectors.append(query_confidence_vectors(
-                        query_stats(q4.data), proto.vectors[Level.L4][None])[0])
+                    vectors.append(_l4_vectors(q4.data, proto.vectors[Level.L4][None])[0])
                     continue
                 if not joint:
                     batch.append((correlate(q4, proto.vectors[Level.L4]), label))
