@@ -14,6 +14,7 @@ checks the sizes a header gives against the bytes left before reading them.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -54,11 +55,10 @@ def load_checkpoint(path) -> tuple[ScoreModel, FusionProjector]:
         if eps != np.float32(ScoreModel.eps):
             raise ValueError(f"{path}: standardization eps {np.float32(eps)} is not "
                              f"{np.float32(ScoreModel.eps)}")
-        shapes = ((hidden, 2 * c), (hidden,), (2, hidden), (2,))  # w1, b1, w2, b2
-        require_bytes(f, 4 * (hidden * (2 * c + 3) + 2))
-        layers = [read_floats(f, shape) for shape in shapes]
+        shapes = ScoreModel.shapes(c, hidden)
+        require_bytes(f, 4 * sum(map(math.prod, shapes)))
         try:
-            model = ScoreModel(*layers)
+            model = ScoreModel(*[read_floats(f, shape) for shape in shapes])
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         (n_levels,) = struct.unpack("<I", read_exact(f, 4))

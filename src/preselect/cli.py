@@ -125,7 +125,7 @@ def _train_accuracy(model, episodes) -> float:
     run_inference's scores."""
     correct = total = 0
     for ep in episodes:
-        protos = prototype_matrices(ep.shots)
+        protos = prototype_matrices({Level.L4: ep.shots[Level.L4]})
         scores = query_scores(model, ep.levels[Level.L4].data, protos)
         correct += sum((s >= 0.5) == (cid in ep.present_classes)
                        for cid, s in enumerate(scores.tolist()))

@@ -8,11 +8,12 @@ level, shot j of class i at [i, j]; its supports are per-shot FeatureMap
 views of them that only the benchmark reads. Correlation against a class
 prototype is a depthwise channel product; level fusion downsamples
 everything to the coarsest grid, projects each level to a common channel
-count, and averages. Inference and training build the prototypes of a
-set of classes at once and fuse them in one contraction
-(prototype_matrices, align_query, fuse_batch). synth_episode boxes each
-planted blob by the half-maximum rule (BOX_LEVEL) that the detector
-applies to a fused heat map.
+count, and averages. Inference builds every class's L4 prototypes in
+setup and the selected classes' L2/L3 ones in fusion, training the levels
+its phase reads, each for a set of classes at once; fusion is one
+contraction (prototype_matrices, align_query, fuse_batch). synth_episode
+boxes each planted blob by the half-maximum rule (BOX_LEVEL) that the
+detector applies to a fused heat map.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def prototype_matrices(shots: dict[Level, np.ndarray]) -> np.ndarray:
     """The (N, sum of C_l) float32 prototypes of the N classes of per-level
     (N, k, C_l, h_l, w_l) support stacks: spatially average each shot, then
     mean over the class's shots. The levels are stacked along channels in
-    FEATURE_LEVELS order, as align_query stacks the query."""
+    FEATURE_LEVELS order, as align_query stacks the query. Each level and
+    row is computed on its own: a subset's matrix is bitwise that block."""
     _, k = stack_shape(shots)
     # Per-shot means round to float32 and add up in shot order, as trained
     # checkpoints depend on.

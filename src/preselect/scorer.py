@@ -68,17 +68,17 @@ class ScoreModel:
             bound = np.sqrt(6.0 / (in_d + out_d))
             return rng.uniform(-bound, bound, (out_d, in_d)).astype(np.float32)
 
-        return cls(
-            w1=layer(hidden, 2 * in_channels),
-            b1=np.zeros(hidden, dtype=np.float32),
-            w2=layer(2, hidden),
-            b2=np.zeros(2, dtype=np.float32),
-        )
+        w1, b1, w2, b2 = cls.shapes(in_channels, hidden)
+        return cls(layer(*w1), np.zeros(b1, np.float32), layer(*w2), np.zeros(b2, np.float32))
+
+    @staticmethod
+    def shapes(in_channels: int, hidden: int) -> tuple[tuple[int, ...], ...]:
+        return (hidden, 2 * in_channels), (hidden,), (2, hidden), (2,)  # w1, b1, w2, b2
 
     def __post_init__(self):
         hidden, width = self.w1.shape
         shapes = [a.shape for a in self.layers]
-        if min(hidden, width) < 1 or width % 2 or shapes[1:] != [(hidden,), (2, hidden), (2,)]:
+        if min(hidden, width) < 1 or width % 2 or shapes != list(self.shapes(width // 2, hidden)):
             raise ValueError(f"layer shapes {shapes} are not (h, 2C), (h,), (2, h), (2,) "
                              f"with a hidden width h >= 1 and C >= 1")
 
@@ -232,10 +232,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _l4_vectors(q4: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """The confidence vectors of the N correlation maps p * q of the
-    (C, H, W) L4 query map q, without forming the maps. protos is
-    prototype_matrices' (N, sum of C_l) output, whose last C columns are
-    the L4 prototypes p; returns (N, 2C) computed in float64 and stored in
-    float32, the MLP's precision at inference.
+    (C, H, W) L4 query map q, without forming the maps. protos, a
+    prototype_matrices output, holds the L4 prototypes p in its last C
+    columns (callers build L4 alone); returns (N, 2C) computed in float64
+    and stored in float32, the MLP's precision at inference.
 
     Each map's vector follows from four per-channel statistics of q: the
     means of its 2x2 max- and min-pooled maps (an odd last row/column is
@@ -432,11 +432,11 @@ def train(
     """Plain SGD over sampled (map, label) pairs; each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP.
 
-    A pair's row, its class's prototype row in JOINT and its _l4_vectors
-    vector (query_scores') in TPF_ONLY, is built once, in the first epoch
-    that samples it, one call per episode. JOINT fuses each batch in one
-    contraction, fuse_batch's, on queries aligned once, and trains the
-    scorer and the fusion projections through _map_loss, as
+    A pair's row, its class's prototype row in JOINT and the _l4_vectors
+    vector of its L4 prototype (query_scores') in TPF_ONLY, is built once,
+    in the first epoch that samples it, one call per episode. JOINT fuses
+    each batch in one contraction, fuse_batch's, on queries aligned once,
+    and trains the scorer and the fusion projections through _map_loss, as
     loss_and_grads does, all in work arrays allocated once per call;
     TPF_ONLY trains the scorer alone on the rows. Returns (model,
     projections, per-epoch mean losses); inputs are not mutated.
@@ -463,7 +463,8 @@ def train(
                 missing.setdefault(ei, []).append(cid)
         for ei, cids in missing.items():
             ep = episodes[ei]
-            new = prototype_matrices({lv: a[cids] for lv, a in ep.shots.items()})
+            levels = ep.shots if joint else {Level.L4: ep.shots[Level.L4]}
+            new = prototype_matrices({lv: a[cids] for lv, a in levels.items()})
             if not joint:
                 new = _l4_vectors(ep.levels[Level.L4].data, new).astype(np.float64)
             rows.update(((ei, cid), row) for cid, row in zip(cids, new))

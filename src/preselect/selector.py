@@ -1,9 +1,9 @@
-"""Minor-loop orchestration: score every candidate class cheaply, keep
-only the most promising ones, and run the expensive per-class stages
-(level fusion + toy detection) for that subset. Each stage runs once per
-query over arrays that hold every class it serves. The detector boxes a
-heat map by the half-maximum rule (episodes.BOX_LEVEL) that draws the
-synthetic ground truth, and each class's detections are stored under its id.
+"""Minor-loop orchestration: score every candidate class cheaply on its L4
+prototype, keep only the most promising ones, and run the expensive
+per-class stages (L2/L3 prototypes, level fusion, toy detection) for that
+subset, each once per query over every class it serves. The detector boxes
+a heat map by the half-maximum rule (episodes.BOX_LEVEL) that draws the
+synthetic ground truth; each class's detections are stored under its id.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodes import (BOX_LEVEL, Box, Episode, FusionProjector, align_query, fuse_batch,
-                       prototype_matrices)
+from .episodes import (BOX_LEVEL, FEATURE_LEVELS, Box, Episode, FusionProjector, align_query,
+                       fuse_batch, prototype_matrices)
 from .scorer import ScoreModel, query_scores
 from .tensor_ops import Level
 
@@ -155,20 +155,20 @@ def run_inference(
     """Score -> select -> heavy stage for the selected classes only.
 
     Non-selected classes report empty detection lists. Timings record
-    wall-clock seconds per stage. Setup is the work done once per query for
-    all classes that the full loop needs too: the prototypes and the query
+    wall-clock seconds per stage. Setup is the work done once per query
+    that the full loop needs too: every class's L4 prototype and the query
     levels aligned to the L4 grid. Scoring is everything the filter adds:
     the L4 query statistics, every class's confidence vector and the MLP.
-    Fusion and detect each run once over the selected classes, whose ids
-    are their prototype rows. The 64-channel fused maps stand in for the
-    paper's per-class detection head. The toy detector reads only their
-    channel mean, but the maps are kept so that the heavy stage keeps the
-    paper's cost shape.
+    Fusion builds the L2/L3 prototypes of the selected classes alone and
+    fuses them; it and detect each run once over those classes. The
+    64-channel fused maps stand in for the paper's per-class detection
+    head. The toy detector reads only their channel mean, but the maps are
+    kept so that the heavy stage keeps the paper's cost shape.
     """
     t0 = time.perf_counter()
-    protos = prototype_matrices(episode.shots)
+    l4 = prototype_matrices({Level.L4: episode.shots[Level.L4]})
     t1 = time.perf_counter()
-    values = query_scores(model, episode.levels[Level.L4].data, protos)
+    values = query_scores(model, episode.levels[Level.L4].data, l4)
     scores = dict(enumerate(values.tolist()))
     t2 = time.perf_counter()
 
@@ -178,7 +178,14 @@ def run_inference(
     t3 = time.perf_counter()
     aligned = align_query(episode.levels)
     t4 = time.perf_counter()
-    fused = fuse_batch(aligned, protos[selected], proj)
+    upper = {lv: episode.shots[lv] for lv in FEATURE_LEVELS[:-1]}  # built for selected rows only
+    if len(selected) == len(scores):  # reorder built rows rather than copy every class's shots
+        upper = prototype_matrices(upper)[selected]
+    elif selected:
+        upper = prototype_matrices({lv: a[selected] for lv, a in upper.items()})
+    else:
+        upper = np.empty((0, len(aligned) - l4.shape[1]), np.float32)
+    fused = fuse_batch(aligned, np.concatenate([upper, l4[selected]], axis=1), proj)
     t5 = time.perf_counter()
     found = detect_batch(fused)
     t6 = time.perf_counter()

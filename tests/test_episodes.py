@@ -1,6 +1,8 @@
 """Tests for prototype building, correlation, fusion, and the synthetic
 episode generator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,28 @@ def assert_loop_prototypes(ep):
         assert mats[i].tobytes() == want.tobytes()
 
 
+def assert_blocks(shots, rows):
+    """prototype_matrices of every nonempty level subset of shots, on the
+    rows in the given order, is bitwise that block of the full matrix: the
+    rows, and each level's columns in FEATURE_LEVELS order."""
+    full = prototype_matrices(shots)
+    levels = [lv for lv in FEATURE_LEVELS if lv in shots]
+    ends = np.cumsum([shots[lv].shape[2] for lv in levels])
+    cols = {lv: slice(end - shots[lv].shape[2], end) for lv, end in zip(levels, ends)}
+    for r in range(1, len(levels) + 1):
+        for subset in itertools.combinations(levels, r):
+            got = prototype_matrices({lv: shots[lv][rows] for lv in subset})
+            want = np.concatenate([full[rows, cols[lv]] for lv in subset], axis=1)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def selections(n, seed):
+    """Row lists as selections give them: one row, a few rows in score
+    order, and every row in score order."""
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    return [order[:1], order[: max(1, n // 3)], order]
+
+
 class TestPrototypeMatrices:
     @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (7, 1, 1), (12, 5, 2)])
     def test_bitwise_equal_to_per_shot_loop(self, classes, k, seed):
@@ -135,6 +159,36 @@ class TestPrototypeMatrices:
         mat = prototype_matrices({Level.L4: stack})
         for i, cls in enumerate(stack):
             assert mat[i].tobytes() == loop_prototype(cls).tobytes()
+
+    @pytest.mark.parametrize("classes,k,seed", [(20, 3, 0), (7, 1, 1), (100, 5, 2)])
+    def test_level_and_row_subsets_are_blocks(self, classes, k, seed):
+        """Building only some levels, for only some rows, gives bitwise the
+        matching block of the full matrix: inference builds every class's L4
+        prototypes and the selected classes' L2/L3 ones apart."""
+        ep = synth_episode(SynthConfig(num_classes=classes, k=k), seed)
+        for rows in selections(classes, seed):
+            assert_blocks(ep.shots, rows)
+
+    def test_blocks_on_read_back_packs(self, tmp_path):
+        """The same on packs read back from disk, at the synthetic and the
+        odd dims."""
+        path = tmp_path / "pack.epk"
+        for eps in (synth_episodes(SynthConfig(num_classes=9, k=4), 21, 3),
+                    odd_episodes(n=3, num_classes=4, k=3)):
+            write_pack(path, eps)
+            for i, ep in enumerate(read_pack(path)):
+                for rows in selections(len(ep.class_ids), i):
+                    assert_blocks(ep.shots, rows)
+
+    def test_blocks_on_odd_grids_and_negative_zero(self):
+        """Odd channels and grids at every level, with a class whose shots
+        are all -0.0 and one whose first shot is."""
+        shots = odd_episodes(n=1, num_classes=5, k=2, seed=10)[0].shots
+        for a in shots.values():
+            a[2] = -0.0
+            a[4, 0] = -0.0
+        for rows in selections(5, 10) + [[2], [4, 2, 0]]:
+            assert_blocks(shots, rows)
 
     @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [1, 2, 3]])
     def test_rejects_ragged_shot_counts(self, counts):

@@ -11,7 +11,8 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_OK, main
-from preselect.episodes import FusionProjector, SynthConfig, prototype_matrices, synth_episodes
+from preselect.episodes import (FEATURE_LEVELS, FusionProjector, SynthConfig, prototype_matrices,
+                                synth_episodes)
 from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import Phase, ScoreModel, TrainConfig, query_scores, train
 from preselect.selector import TopN, run_inference
@@ -252,6 +253,21 @@ class TestCheckpoint:
         for lv in proj.weights:
             np.testing.assert_array_equal(p2.weights[lv], proj.weights[lv])
             np.testing.assert_array_equal(p2.biases[lv], proj.biases[lv])
+
+    @pytest.mark.parametrize("c,hidden", [(1, 1), (8, 16), (3, 5)])
+    def test_layer_shapes_are_one_rule(self, tmp_path, c, hidden):
+        """init, the checkpoint reader and the model's own check share
+        ScoreModel.shapes: an initialised model has those shapes and
+        reloads with them, and a model whose b1 is one entry short is
+        rejected."""
+        shapes = list(ScoreModel.shapes(c, hidden))
+        model = ScoreModel.init(c, hidden=hidden)
+        assert [a.shape for a in model.layers] == shapes
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, FusionProjector.identity({lv: c for lv in FEATURE_LEVELS}, 2))
+        assert [a.shape for a in load_checkpoint(path)[0].layers] == shapes
+        with pytest.raises(ValueError, match="layer shapes"):
+            ScoreModel(model.w1, model.b1[:-1], model.w2, model.b2)
 
     def test_magic_bytes(self, tmp_path):
         model, proj = self._state()

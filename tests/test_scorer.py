@@ -591,6 +591,23 @@ class TestTrain:
         # Positives recur in every epoch, so a per-sample build counts more.
         assert sum(built) == len(set(sampled)) < len(sampled)
 
+    @pytest.mark.parametrize("phase,levels", [(Phase.TPF_ONLY, {Level.L4}),
+                                              (Phase.JOINT, set(FEATURE_LEVELS))])
+    def test_rows_build_the_levels_they_read(self, monkeypatch, phase, levels):
+        """TPF builds the L4 prototypes alone, the only ones its vectors
+        read; JOINT builds every level, as fusion reads them all."""
+        eps = small_episodes()
+        model, proj = fresh_state(eps)
+        built = []
+
+        def protos(shots):
+            built.append(set(shots))
+            return prototype_matrices(shots)
+
+        monkeypatch.setattr(scorer, "prototype_matrices", protos)
+        train(model, proj, eps, TrainConfig(epochs=2, batch_size=5, phase=phase))
+        assert built and all(b == levels for b in built)
+
     def test_tpf_rows_are_inference_vectors(self, monkeypatch):
         """Every row of every TPF batch has the bytes, cast to float64, of
         the vector that query_scores feeds its MLP for the same (episode,

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from preselect import selector
 from preselect.episodes import (
     BOX_LEVEL,
     FusionProjector,
@@ -305,6 +306,39 @@ class TestRunInference:
         res = run_inference(model, proj, ep, Adaptive(1.0))
         assert res.selected == [] and res.heavy_calls == 0
         assert all(d == [] for d in res.detections.values())
+
+    def test_l2_l3_prototypes_built_for_selected_rows_only(self, monkeypatch):
+        """run_inference builds every class's L4 prototypes in one call, and
+        L2/L3 prototypes only for res.selected's rows: none for an empty
+        selection."""
+        model, proj, ep = self._setup(seed=4)
+        calls = []
+
+        def spy(shots):
+            calls.append(shots)
+            return prototype_matrices(shots)
+
+        monkeypatch.setattr(selector, "prototype_matrices", spy)
+        scores = sorted(run_inference(model, proj, ep, All()).scores.values())
+        sizes = []
+        for strategy in (TopN(1), TopN(3), Adaptive(scores[2]), Adaptive(scores[-1]), All(),
+                         Adaptive(1.0)):
+            calls.clear()
+            res = run_inference(model, proj, ep, strategy)
+            sizes.append(len(res.selected))
+            l4_calls = [c for c in calls if Level.L4 in c]
+            assert len(l4_calls) == 1 and set(l4_calls[0]) == {Level.L4}
+            assert l4_calls[0][Level.L4] is ep.shots[Level.L4]
+            upper = [c for c in calls if Level.L4 not in c]
+            if not res.selected:
+                assert upper == []
+                continue
+            assert len(upper) == 1 and set(upper[0]) == {Level.L2, Level.L3}
+            for lv, stack in upper[0].items():
+                rows = [next(i for i in ep.class_ids if np.array_equal(ep.shots[lv][i], shot))
+                        for shot in stack]
+                assert sorted(rows) == sorted(res.selected)
+        assert sizes == [1, 3, 6, 1, 8, 0]
 
     def test_overflowing_fused_map_rejected(self):
         model, proj, ep = self._setup()
