@@ -38,11 +38,13 @@ BOX_LEVEL = 0.5
 
 def stack_shape(shots: dict[Level, np.ndarray]) -> tuple[int, int]:
     """The (N, k) that per-level float32 (N, k, C, h, w) support stacks
-    share, both at least 1, or ValueError. Class i is row i of every
-    per-class array."""
+    share, both at least 1, or ValueError; C, h and w must be at least 1
+    too. Class i is row i of every per-class array."""
     for lv, a in shots.items():
         if not (isinstance(a, np.ndarray) and a.ndim == 5 and a.dtype == np.float32):
             raise ValueError(f"{lv.value} support shots must be one rank-5 float32 array")
+        if 0 in a.shape[2:]:
+            raise ValueError(f"{lv.value} support shot dims {a.shape[2:]} must be positive")
     sizes = {a.shape[:2] for a in shots.values()}
     if len(sizes) != 1 or 0 in next(iter(sizes)):
         raise ValueError(f"support stacks must share one (classes, shots) of at least "
@@ -103,13 +105,36 @@ def prototype_matrices(shots: dict[Level, np.ndarray]) -> np.ndarray:
     (N, k, C_l, h_l, w_l) support stacks: spatially average each shot, then
     mean over the class's shots. The levels are stacked along channels in
     FEATURE_LEVELS order, as align_query stacks the query. Each level and
-    row is computed on its own: a subset's matrix is bitwise that block."""
+    row is computed on its own: a subset's matrix is bitwise that block.
+    The shot means are bitwise numpy's float64 means, summed in numpy's
+    order (_shot_means)."""
     _, k = stack_shape(shots)
     # Per-shot means round to float32 and add up in shot order, as trained
     # checkpoints depend on.
-    means = np.concatenate([shots[lv].mean(axis=(3, 4), dtype=np.float64).astype(np.float32)
-                            for lv in FEATURE_LEVELS if lv in shots], axis=2)
+    means = np.concatenate([_shot_means(shots[lv]) for lv in FEATURE_LEVELS if lv in shots],
+                           axis=2)
     return (sum(means[:, j].astype(np.float64) for j in range(k)) / k).astype(np.float32)
+
+
+def _shot_means(stack: np.ndarray) -> np.ndarray:
+    """The (N, k, C) float32 spatial means of an (N, k, C, h, w) float32
+    stack: bitwise stack.mean(axis=(3, 4), dtype=float64) rounded to float32.
+
+    numpy sums a shot's h*w cells as one run. A run of fewer than 8 cells
+    (8 is numpy's pairwise-sum block) is a plain left-to-right sum from
+    +0.0, done here as one vectorized float64 add per cell over all N*k*C
+    runs at once, which skips numpy's per-run overhead (L4's 2x2 grids).
+    Longer runs (L3's 4x4, L2's 8x8) keep numpy's pairwise form, which a
+    vectorized copy does not beat.
+    """
+    n, k, c, h, w = stack.shape
+    if h * w >= 8:
+        return stack.mean(axis=(3, 4), dtype=np.float64).astype(np.float32)
+    total = np.zeros((n, k, c))
+    for cell in np.moveaxis(stack.reshape(n, k, c, h * w), 3, 0):
+        total += cell
+    total /= h * w
+    return total.astype(np.float32)
 
 
 def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:

@@ -58,6 +58,51 @@ def confidence_vectors_oracle(maps: np.ndarray) -> np.ndarray:
     return np.concatenate([local, glob], axis=1)
 
 
+def numpy_block_mean(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """block_mean as numpy's mean over the block axes, the form the
+    library replaced: the oracle for its summation order."""
+    c, h, w = x.shape
+    return x.astype(np.float64).reshape(c, target_h, h // target_h,
+                                        target_w, w // target_w).mean(axis=(2, 4))
+
+
+def numpy_prototype_matrices(shots: dict[Level, np.ndarray]) -> np.ndarray:
+    """prototype_matrices with numpy's mean for every shot grid, the form
+    the library replaced: the oracle for its summation order."""
+    k = next(iter(shots.values())).shape[1]
+    means = np.concatenate([shots[lv].mean(axis=(3, 4), dtype=np.float64).astype(np.float32)
+                            for lv in FEATURE_LEVELS if lv in shots], axis=2)
+    return (sum(means[:, j].astype(np.float64) for j in range(k)) / k).astype(np.float32)
+
+
+def order_sensitive(rng: np.random.Generator, lead: tuple[int, ...], cells: int) -> np.ndarray:
+    """A float32 (*lead, cells) array of runs whose float64 sum depends on
+    the order of the adds. Each run holds small entries of mixed sign in
+    2^-40..2^-24, about one in ten -0.0, plus (if it has two cells or more)
+    one entry +-B in 2^30..2^40 and its negation at two random places. An
+    entry added to B while it is pending is lost (B is 2^54 times larger),
+    so a sum keeps only the entries outside the pair's span in its order,
+    and the result moves in its leading bits when the order changes."""
+    x = rng.uniform(1.0, 2.0, (*lead, cells)) * np.exp2(rng.integers(-40, -24, (*lead, cells)))
+    x *= rng.choice((-1.0, 1.0), x.shape)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    if cells >= 2:
+        big = rng.choice((-1.0, 1.0), lead) * np.exp2(rng.integers(30, 41, lead))
+        where = np.argsort(rng.random((*lead, cells)), axis=-1)[..., :2]
+        np.put_along_axis(x, where, np.stack([big, -big], axis=-1), axis=-1)
+    return x.astype(np.float32)
+
+
+def order_sensitive_map(rng: np.random.Generator, channels: int, grid: tuple[int, int],
+                        target: tuple[int, int]) -> np.ndarray:
+    """A float32 (channels, *grid) map whose every block of the target grid
+    holds one order_sensitive run, row-major within the block."""
+    (h, w), (th, tw) = grid, target
+    runs = order_sensitive(rng, (channels, th, tw), (h // th) * (w // tw))
+    blocks = runs.reshape(channels, th, tw, h // th, w // tw).transpose(0, 1, 3, 2, 4)
+    return np.ascontiguousarray(blocks).reshape(channels, h, w)
+
+
 # Channels and grids unlike the synthetic defaults: odd, unequal sides
 # and dims of 1, with a different channel count at every level.
 ODD_CHANNELS = {Level.L2: 3, Level.L3: 1, Level.L4: 5}

@@ -2,6 +2,7 @@
 episode generator."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from preselect.episodes import (
     CHANNELS,
     FEATURE_LEVELS,
+    QUERY_GRIDS,
     SUPPORT_GRIDS,
     Episode,
     FusionProjector,
@@ -26,7 +28,8 @@ from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import _fuse_pairs
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import odd_episodes, random_projector
+from helpers import (ODD_CHANNELS, ODD_SUPPORT, numpy_block_mean, numpy_prototype_matrices,
+                     odd_episodes, order_sensitive, order_sensitive_map, random_projector)
 
 
 def fmap(arr):
@@ -189,6 +192,43 @@ class TestPrototypeMatrices:
             a[4, 0] = -0.0
         for rows in selections(5, 10) + [[2], [4, 2, 0]]:
             assert_blocks(shots, rows)
+
+    # Shot grids: the synthetic L4, L3 and L2 ones, ODD_SUPPORT's, and one
+    # past numpy's 128-cell pairwise block.
+    ORDER_GRIDS = [(2, 2), (4, 4), (8, 8), *ODD_SUPPORT.values(), (12, 12)]
+
+    @pytest.mark.parametrize("grid", ORDER_GRIDS, ids=[f"{h}x{w}" for h, w in ORDER_GRIDS])
+    def test_bitwise_numpy_order(self, grid):
+        """On shots whose sums depend on the order of the adds, bitwise
+        numpy's mean over each shot's grid, with a class whose shots are
+        all -0.0 and one whose first shot is."""
+        rng = np.random.default_rng(grid[0] * 100 + grid[1])
+        for _ in range(4):
+            stack = order_sensitive(rng, (7, 3, 5), math.prod(grid)).reshape(7, 3, 5, *grid)
+            stack[2] = -0.0
+            stack[4, 0] = -0.0
+            got = prototype_matrices({Level.L4: stack})
+            assert got.tobytes() == numpy_prototype_matrices({Level.L4: stack}).tobytes()
+
+    @pytest.mark.parametrize("grids,channels", [(SUPPORT_GRIDS, CHANNELS),
+                                                (ODD_SUPPORT, ODD_CHANNELS)],
+                             ids=["synthetic", "odd"])
+    def test_bitwise_numpy_order_all_levels(self, grids, channels):
+        """The same with every level in one call, each on its own grid."""
+        rng = np.random.default_rng(17)
+        shots = {lv: order_sensitive(rng, (6, 2, channels[lv]), math.prod(grids[lv]))
+                 .reshape(6, 2, channels[lv], *grids[lv]) for lv in FEATURE_LEVELS}
+        assert prototype_matrices(shots).tobytes() == numpy_prototype_matrices(shots).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4], ids=["C", "h", "w"])
+    def test_rejects_zero_size_dims(self, dim):
+        """A stack with no channels or an empty shot grid is a ValueError,
+        not NaN prototypes."""
+        shape = [3, 2, 4, 2, 2]
+        shape[dim] = 0
+        shots = {Level.L4: np.ones(shape, np.float32)}
+        with pytest.raises(ValueError, match="must be positive"):
+            prototype_matrices(shots)
 
     @pytest.mark.parametrize("counts", [[2, 4], [3, 0], [1, 2, 3]])
     def test_rejects_ragged_shot_counts(self, counts):
@@ -377,6 +417,21 @@ class TestFuseLevels:
         np.testing.assert_allclose(aligned[:2], want, rtol=1e-12)
         np.testing.assert_array_equal(aligned[5:], levels[Level.L4].data)
 
+    @pytest.mark.parametrize("grids", [QUERY_GRIDS, {Level.L2: (7, 7), Level.L3: (3, 1),
+                                                      Level.L4: (1, 1)}],
+                             ids=["synthetic", "one-cell"])
+    def test_align_query_bitwise_numpy_order(self, grids):
+        """On maps whose sums depend on the order of the adds, align_query
+        is bitwise every level's numpy mean over its blocks, stacked."""
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            h, w = grids[Level.L4]
+            levels = {lv: fmap(order_sensitive_map(rng, CHANNELS[lv], grids[lv], (h, w)))
+                      for lv in FEATURE_LEVELS}
+            want = np.concatenate([numpy_block_mean(levels[lv].data, h, w)
+                                   for lv in FEATURE_LEVELS])
+            assert align_query(levels).tobytes() == want.tobytes()
+
     def test_rejects_nondivisible_grids(self):
         maps = {
             Level.L2: fmap(np.ones((2, 6, 6))),
@@ -485,11 +540,16 @@ class TestEpisodeInvariants:
         return Episode(query_id="bad", levels=ep.levels, shots=shots, gt_boxes={})
 
     @pytest.mark.parametrize("cut", [(slice(0, 2),), (slice(None), slice(0, 1)),
-                                     (slice(None), slice(0, 0)), (slice(0, 0),)],
-                             ids=["fewer-classes", "fewer-shots", "no-shots", "no-classes"])
+                                     (slice(None), slice(0, 0)), (slice(0, 0),),
+                                     (slice(None),) * 2 + (slice(0, 0),),
+                                     (slice(None),) * 3 + (slice(0, 0),),
+                                     (slice(None),) * 4 + (slice(0, 0),)],
+                             ids=["fewer-classes", "fewer-shots", "no-shots", "no-classes",
+                                  "no-channels", "no-rows", "no-columns"])
     def test_stack_sizes_must_agree(self, cut):
         """Every level's stack has the same class count and shot count,
-        both at least 1."""
+        both at least 1, and shots of at least one channel, row and
+        column."""
         ep = synth_episode(SynthConfig(num_classes=3, k=2, present_count=0), 9)
         with pytest.raises(ValueError, match="support s"):
             self._with_shots(ep, L3=ep.shots[Level.L3][cut])

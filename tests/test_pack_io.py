@@ -11,8 +11,8 @@ import pytest
 
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import EXIT_OK, main
-from preselect.episodes import (FEATURE_LEVELS, FusionProjector, SynthConfig, prototype_matrices,
-                                synth_episodes)
+from preselect.episodes import (FEATURE_LEVELS, FusionProjector, SynthConfig, align_query,
+                                prototype_matrices, synth_episodes)
 from preselect.pack_io import read_pack, write_pack
 from preselect.scorer import Phase, ScoreModel, TrainConfig, query_scores, train
 from preselect.selector import TopN, run_inference
@@ -181,6 +181,20 @@ class TestEpisodePack:
                      "--shots", "2", "--seed", "3", "-o", str(path)]) == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "968ff57c1178a737d0f33e935f746c11a11632830b64b19e0504229fa3154d24"
+
+    def test_golden_prototypes_and_aligned_queries(self, tmp_path):
+        """On criterion 8's gen pack, every episode's prototype matrix and
+        aligned query keep their sha256: a pin on the two reductions of
+        per-query setup alone, with no BLAS call in between."""
+        path = tmp_path / "pack.epk"
+        assert main(["gen", "--classes", "8", "--present", "2", "--episodes", "8",
+                     "--shots", "2", "--seed", "3", "-o", str(path)]) == EXIT_OK
+        digest = hashlib.sha256()
+        for ep in read_pack(path):
+            digest.update(prototype_matrices(ep.shots).tobytes())
+            digest.update(align_query(ep.levels).tobytes())
+        assert digest.hexdigest() == \
+            "20e9b0e13d4cd390f1d683c1187e24c5042a4b0495a193a9b8bc32c0474fc658"
 
     def test_support_maps_share_one_array_per_level(self, tmp_path):
         """Each level's shots come back as one C-contiguous float32

@@ -7,6 +7,8 @@ Operations are checked against straightforward nested-loop references
 on random inputs, written independently of the vectorized code.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from preselect.episodes import prototype_matrices
 from preselect.scorer import _softmax
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import map_vectors
+from helpers import (ODD_QUERY, map_vectors, numpy_block_mean, order_sensitive,
+                     order_sensitive_map)
 
 
 def fmap(arr):
@@ -124,22 +127,69 @@ class TestDownsampleAvg:
         np.testing.assert_allclose(out, [[[2.5]]])
 
     def test_block_mean_oracle(self):
+        """Nested loops in numpy's order: each block row left to right from
+        -0.0, the rows into a sum from +0.0, on entries whose sums depend
+        on that order; one channel is all -0.0."""
         rng = np.random.default_rng(9)
-        m = random_map(rng, 2, 8, 8)
-        out = block_mean(m.data, 2, 2)
+        x = order_sensitive_map(rng, 3, (8, 8), (2, 2))
+        x[2] = -0.0
+        out = block_mean(x, 2, 2)
         assert out.dtype == np.float64
-        for ch in range(2):
+        for ch in range(3):
             for i in range(2):
                 for j in range(2):
                     acc = 0.0
                     for dy in range(4):
+                        row = -0.0
                         for dx in range(4):
-                            acc += float(m.data[ch, 4 * i + dy, 4 * j + dx])
-                    assert out[ch, i, j] == pytest.approx(acc / 16, rel=1e-12)
+                            row += float(x[ch, 4 * i + dy, 4 * j + dx])
+                        acc += row
+                    assert out[ch, i, j].tobytes() == np.float64(acc / 16).tobytes()
+
+    # (source grid, target grid): the synthetic query alignments, a 7x7 map
+    # onto one cell, rows of 8 cells, and every ODD_QUERY grid onto each
+    # grid that divides it.
+    ORDER_CASES = [((32, 32), (8, 8)), ((16, 16), (8, 8)), ((8, 8), (8, 8)), ((7, 7), (1, 1)),
+                   ((64, 64), (8, 8)), ((16, 24), (2, 3))] + [
+        ((h, w), (th, tw)) for h, w in ODD_QUERY.values()
+        for th, tw in itertools.product(range(1, h + 1), range(1, w + 1))
+        if h % th == 0 and w % tw == 0]
+
+    @pytest.mark.parametrize("grid,target", ORDER_CASES,
+                             ids=[f"{g[0]}x{g[1]}to{t[0]}x{t[1]}" for g, t in ORDER_CASES])
+    def test_bitwise_numpy_order(self, grid, target):
+        """On entries whose sums depend on the order of the adds, bitwise
+        numpy's mean over the block axes; an all -0.0 channel averages to
+        +0.0 there as well."""
+        rng = np.random.default_rng(grid[0] * 100 + grid[1])
+        for _ in range(6):
+            x = order_sensitive_map(rng, 5, grid, target)
+            x[0] = -0.0
+            got = block_mean(x, *target)
+            assert got.dtype == np.float64
+            assert got.tobytes() == numpy_block_mean(x, *target).tobytes()
+
+    def test_order_sensitive_data(self):
+        """The data of the order tests tells orders apart: summed left to
+        right and right to left, about four runs in five differ (not those
+        whose pair sits at both ends)."""
+        x = order_sensitive(np.random.default_rng(13), (1000,), 4).astype(np.float64)
+        forward = ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+        backward = ((x[:, 3] + x[:, 2]) + x[:, 1]) + x[:, 0]
+        assert (forward != backward).mean() > 0.7
 
     def test_rejects_nondivisible(self):
         with pytest.raises(ValueError):
             block_mean(np.ones((1, 6, 6), np.float32), 4, 4)
+
+    @pytest.mark.parametrize("shape,target", [((1, 4, 4), (0, 2)), ((1, 4, 4), (2, 0)),
+                                              ((0, 4, 4), (2, 2)), ((1, 0, 4), (1, 2)),
+                                              ((1, 4, 0), (2, 1))])
+    def test_rejects_zero_dims(self, shape, target):
+        """A zero target or a map with a zero dim is a ValueError, not a
+        ZeroDivisionError or a NaN average."""
+        with pytest.raises(ValueError, match="must be positive"):
+            block_mean(np.ones(shape, np.float32), *target)
 
 
 class TestSharedInvariants:
@@ -152,6 +202,11 @@ class TestSharedInvariants:
         rng = np.random.default_rng(11)
         m = random_map(rng, 3, 4, 4)
         assert np.all(np.isfinite(block_mean(m.data, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_feature_map_rejects_zero_dims(self, shape):
+        with pytest.raises(ValueError, match="must be positive"):
+            FeatureMap(np.ones(shape, np.float32))
 
     def test_feature_map_rejects_nonfinite(self):
         bad = np.ones((1, 2, 2), np.float32)
