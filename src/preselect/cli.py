@@ -56,11 +56,14 @@ def _strategy(args):
 
 
 def _check_outputs(*paths) -> None:
-    """ValueError unless the directory of each given output path exists,
-    so that a command fails before it reads, prints or trains anything."""
-    for path in paths:
-        if path is not None and not path.parent.is_dir():
+    """ValueError unless each given output path is a file name in an
+    existing directory, so that a command fails before it reads, prints or
+    trains anything."""
+    for path in filter(None, paths):
+        if not path.parent.is_dir():
             raise ValueError(f"cannot write {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
 
 
 def _synth_config(args) -> SynthConfig:
@@ -204,8 +207,8 @@ def cmd_bench(args) -> int:
                 **{f"{stage}_seconds": t for stage, t in res.timings.items()}))
     n = len(episodes[0].class_ids)
     if all(r.n_selected == n for r in records):
-        hint = f"--top-n must be below {n}" if args.strategy == "topn" else \
-            f"--strategy {args.strategy} must drop some class"
+        hint = f"--top-n must be below {n}" if args.strategy == "topn" and n > 1 else \
+            "--strategy adaptive needs a --threshold above some class's score"
         raise ValueError(f"the minor loop kept all {n} classes on every episode, so no "
                          f"per-class cost can be fitted: {hint}")
     fit = cost.measure(records, n_ref=n)
@@ -302,11 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Pre-parse --config and inject its values as new defaults. The file
-    holds one JSON object; each key is an option of some command, and each
-    value a string or number that the option would take on the command
-    line (its string form is parsed with the option's type and choices)."""
-    ns, _ = parser.parse_known_args(argv)
+    """Pre-parse the --config before the command and inject its values as
+    new defaults, which a required option then no longer needs a flag for.
+    The file holds one JSON object; each key is an option of some command,
+    and each value a string or number that the option would take on the
+    command line (its string form is parsed with the option's type and
+    choices)."""
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config", type=Path)
+    pre.add_argument("command", nargs=argparse.REMAINDER)
+    ns, _ = pre.parse_known_args(argv)
     if ns.config is None:
         return
     with open(ns.config) as f:
@@ -337,6 +345,7 @@ def _apply_config_file(parser, argv):
                 raise ValueError(f"{ns.config}: invalid value {value!r} for "
                                  f"{action.option_strings[-1]}: {e}") from None
             sub.set_defaults(**{key: parsed})
+            action.required = False
 
 
 def main(argv=None) -> int:

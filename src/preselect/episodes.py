@@ -11,9 +11,11 @@ everything to the coarsest grid, projects each level to a common channel
 count, and averages. Inference builds every class's L4 prototypes in
 setup and the selected classes' L2/L3 ones in fusion, training the levels
 its phase reads, each for a set of classes at once; fusion is one
-contraction (prototype_matrices, align_query, fuse_batch). synth_episode
-boxes each planted blob by the half-maximum rule (BOX_LEVEL) that the
-detector applies to a fused heat map.
+contraction (prototype_matrices, align_query, fuse_batch). Both averages
+that feed it, the shot means and the aligned query, are
+tensor_ops.block_mean, which alone reproduces numpy's summation order.
+synth_episode boxes each planted blob by the half-maximum rule (BOX_LEVEL)
+that the detector applies to a fused heat map.
 """
 
 from __future__ import annotations
@@ -106,35 +108,14 @@ def prototype_matrices(shots: dict[Level, np.ndarray]) -> np.ndarray:
     mean over the class's shots. The levels are stacked along channels in
     FEATURE_LEVELS order, as align_query stacks the query. Each level and
     row is computed on its own: a subset's matrix is bitwise that block.
-    The shot means are bitwise numpy's float64 means, summed in numpy's
-    order (_shot_means)."""
+    The shot means are block_mean onto one cell, bitwise numpy's float64
+    mean over the shot's grid."""
     _, k = stack_shape(shots)
     # Per-shot means round to float32 and add up in shot order, as trained
     # checkpoints depend on.
-    means = np.concatenate([_shot_means(shots[lv]) for lv in FEATURE_LEVELS if lv in shots],
-                           axis=2)
+    means = np.concatenate([block_mean(shots[lv], 1, 1)[..., 0, 0].astype(np.float32)
+                            for lv in FEATURE_LEVELS if lv in shots], axis=2)
     return (sum(means[:, j].astype(np.float64) for j in range(k)) / k).astype(np.float32)
-
-
-def _shot_means(stack: np.ndarray) -> np.ndarray:
-    """The (N, k, C) float32 spatial means of an (N, k, C, h, w) float32
-    stack: bitwise stack.mean(axis=(3, 4), dtype=float64) rounded to float32.
-
-    numpy sums a shot's h*w cells as one run. A run of fewer than 8 cells
-    (8 is numpy's pairwise-sum block) is a plain left-to-right sum from
-    +0.0, done here as one vectorized float64 add per cell over all N*k*C
-    runs at once, which skips numpy's per-run overhead (L4's 2x2 grids).
-    Longer runs (L3's 4x4, L2's 8x8) keep numpy's pairwise form, which a
-    vectorized copy does not beat.
-    """
-    n, k, c, h, w = stack.shape
-    if h * w >= 8:
-        return stack.mean(axis=(3, 4), dtype=np.float64).astype(np.float32)
-    total = np.zeros((n, k, c))
-    for cell in np.moveaxis(stack.reshape(n, k, c, h * w), 3, 0):
-        total += cell
-    total /= h * w
-    return total.astype(np.float32)
 
 
 def build_prototype(class_id: int, shots: list[dict[Level, FeatureMap]]) -> ClassPrototype:

@@ -211,6 +211,27 @@ class TestEval:
         assert code == EXIT_VALIDATION
 
 
+class TestDirectoryOutput:
+    @pytest.mark.parametrize("command", ["gen -o", "train -o", "eval --report",
+                                         "eval --recall-csv"])
+    def test_directory_output_rejected_first(self, tmp_path, pack, ckpt, capsys, command):
+        """An output path that is an existing directory exits 1 with one
+        error line naming it, before anything is generated, trained or
+        printed, and the directory stays empty."""
+        name, flag = command.split()
+        out = tmp_path / "outdir"
+        out.mkdir()
+        args = {"gen": GEN_ARGS[1:], "train": TRAIN_ARGS[1:] + ["--pack", str(pack)],
+                "eval": ["--checkpoint", str(ckpt), "--pack", str(pack)]}[name]
+        capsys.readouterr()
+        code = main([name, *args, flag, str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert err.splitlines() == [f"error: cannot write {out}: it is a directory"]
+        assert not any(out.iterdir())
+
+
 def _pack_cuts(raw: bytes) -> dict[str, int]:
     (mlen,) = struct.unpack("<I", raw[4:8])
     return {"magic_length": 6, "manifest": 8 + mlen // 2,
@@ -642,6 +663,32 @@ class TestConfigFile:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {cfg}"), err
 
+    def test_config_supplies_required_options(self, tmp_path, pack, ckpt, capsys):
+        """--pack and --checkpoint of eval, and -o of gen, may come from the
+        file alone; the run prints what the flags print, config hash
+        included. A flag still wins over the file's value."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"pack": str(pack), "checkpoint": str(ckpt)}))
+        eval_flags = ["eval", "--checkpoint", str(ckpt), "--pack", str(pack)]
+        capsys.readouterr()
+        outs = []
+        for argv in (eval_flags, ["--config", str(cfg), "eval"],
+                     ["--config", str(cfg), *eval_flags]):
+            assert main(argv) == EXIT_OK
+            outs.append(capsys.readouterr().out.splitlines()[0])
+        assert outs[0] == outs[1] == outs[2]
+        cfg.write_text(json.dumps({"pack": str(tmp_path / "none.epk"), "checkpoint": str(ckpt)}))
+        assert main(["--config", str(cfg), "eval", "--pack", str(pack)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == outs[0]
+
+        a, b = tmp_path / "a.epk", tmp_path / "b.epk"
+        cfg.write_text(json.dumps({"output": str(b)}))
+        assert main(GEN_ARGS + ["-o", str(a)]) == EXIT_OK
+        assert main(["--config", str(cfg)] + GEN_ARGS) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("config ") and lines[0] == lines[2]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_config_value_parsed_as_flag(self, tmp_path, pack, ckpt, capsys):
         """A string value takes the option's type, as on the command line:
         "6" for --top-n keeps all 6 classes, so minor AP equals full AP."""
@@ -724,3 +771,20 @@ class TestBench:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert "kept all 8 classes" in err and "--top-n must be below 8" in err
+
+    def test_one_class_pack_hint(self, tmp_path, capsys):
+        """On a one-class pack TopN keeps the class whatever --top-n is, so
+        the error names a threshold instead, and that setting runs."""
+        pack, ckpt = tmp_path / "one.epk", tmp_path / "one.ckpt"
+        assert main(["gen", "--classes", "1", "--present", "1", "--episodes", "4",
+                     "--shots", "2", "-o", str(pack)]) == EXIT_OK
+        assert main(TRAIN_ARGS + ["--pack", str(pack), "-o", str(ckpt)]) == EXIT_OK
+        capsys.readouterr()
+        bench = ["bench", "--checkpoint", str(ckpt), "--pack", str(pack)]
+        assert main(bench) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert "kept all 1 classes" in err and "--strategy adaptive" in err
+        assert "--top-n must be below" not in err
+        assert main(bench + ["--strategy", "adaptive", "--threshold", "1"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1

@@ -8,6 +8,7 @@ on random inputs, written independently of the vectorized code.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -147,10 +148,13 @@ class TestDownsampleAvg:
                     assert out[ch, i, j].tobytes() == np.float64(acc / 16).tobytes()
 
     # (source grid, target grid): the synthetic query alignments, a 7x7 map
-    # onto one cell, rows of 8 cells, and every ODD_QUERY grid onto each
-    # grid that divides it.
+    # onto one cell, rows of 8 cells, targets of width 1 (where numpy sums
+    # each block as one run) over runs under 8 cells, of 8 and over 8, and
+    # every ODD_QUERY grid onto each grid that divides it.
     ORDER_CASES = [((32, 32), (8, 8)), ((16, 16), (8, 8)), ((8, 8), (8, 8)), ((7, 7), (1, 1)),
-                   ((64, 64), (8, 8)), ((16, 24), (2, 3))] + [
+                   ((64, 64), (8, 8)), ((16, 24), (2, 3)), ((2, 2), (1, 1)), ((1, 7), (1, 1)),
+                   ((7, 1), (1, 1)), ((6, 1), (2, 1)), ((4, 3), (2, 1)), ((2, 4), (1, 1)),
+                   ((4, 8), (2, 1))] + [
         ((h, w), (th, tw)) for h, w in ODD_QUERY.values()
         for th, tw in itertools.product(range(1, h + 1), range(1, w + 1))
         if h % th == 0 and w % tw == 0]
@@ -168,6 +172,21 @@ class TestDownsampleAvg:
             got = block_mean(x, *target)
             assert got.dtype == np.float64
             assert got.tobytes() == numpy_block_mean(x, *target).tobytes()
+
+    STACK_CASES = [((2, 2), (1, 1)), ((4, 4), (1, 1)), ((8, 8), (1, 1)), ((5, 2), (1, 1)),
+                   ((8, 8), (4, 4)), ((4, 16), (2, 2))]
+
+    @pytest.mark.parametrize("grid,target", STACK_CASES,
+                             ids=[f"{g[0]}x{g[1]}to{t[0]}x{t[1]}" for g, t in STACK_CASES])
+    def test_leading_dims_match_per_map_calls(self, grid, target):
+        """An (N, k, C, H, W) stack, as prototype_matrices passes it, gives
+        the bits of one call per (C, H, W) map."""
+        rng = np.random.default_rng(math.prod(grid))
+        x = order_sensitive_map(rng, 4 * 3 * 5, grid, target).reshape(4, 3, 5, *grid)
+        got = block_mean(x, *target)
+        assert got.shape == (4, 3, 5, *target)
+        want = np.stack([np.stack([block_mean(m, *target) for m in row]) for row in x])
+        assert got.tobytes() == want.tobytes()
 
     def test_order_sensitive_data(self):
         """The data of the order tests tells orders apart: summed left to
