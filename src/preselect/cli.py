@@ -315,6 +315,9 @@ def _apply_config_file(parser, argv):
     pre.add_argument("--config", type=Path)
     pre.add_argument("command", nargs=argparse.REMAINDER)
     ns, _ = pre.parse_known_args(argv)
+    if any(a == "--config" or a.startswith("--config=") for a in ns.command):
+        raise ValueError(f"{parser.prog}: --config must come before the command, "
+                         f"as in: {parser.prog} --config FILE {ns.command[0]} ...")
     if ns.config is None:
         return
     with open(ns.config) as f:

@@ -23,16 +23,18 @@ sides: the writer fills its map fields by name and writes it once per
 episode. The reader checks the file size against the manifest before it
 reads any map ("truncated", "trailing" bytes), reads one record at a time
 and compares all its header words with the template's at once, reporting a
-mismatch with the byte offset of its map. Each level's support maps are
-copied out into one contiguous (N, k, C, h, w) array, the episode's shots
-at that level. The manifest must be a JSON object of format 1, with one
-rule per kind of value: a count, a dim, a present class id and the format
-are JSON integers (not bools, floats or strings), a gt_boxes key spells an
-integer in decimal, and a box coordinate is a JSON number. Query ids are
-distinct. An episode's present list must name exactly the classes that
-have boxes, and the first class that disagrees is named. An episode that
-Episode rejects is reported with the pack path and the episode's index,
-and a non-finite map value with its byte offset.
+mismatch with the byte offset of its map. Each level's maps are copied
+into one array for the whole pack, (E, C, H, W) for the query maps and
+(E, N, k, C, h, w) for the shots; episode i's query map and shots at that
+level are row i of them, C-contiguous views. The manifest must be a
+JSON object of format 1, with one rule per kind of value: a count, a dim,
+a present class id and the format are JSON integers (not bools, floats or
+strings), a gt_boxes key spells an integer in decimal, and a box
+coordinate is a JSON number. Query ids are distinct. An episode's present
+list must name exactly the classes that have boxes, and the first class
+that disagrees is named. An episode that Episode rejects is reported with
+the pack path and the episode's index, and a non-finite map value with its
+byte offset.
 """
 
 from __future__ import annotations
@@ -232,6 +234,13 @@ def read_pack(path) -> list[Episode]:
         # words are exactly the headers, four to a map, in record order.
         index = np.flatnonzero(words).reshape(-1, HEADER_WORDS)
         expected = words[index]
+        # One array per level and role for the whole pack, episode i's maps
+        # in row i: six allocations, not six per episode. numpy asks for huge
+        # pages for those of 4 MiB or more; the next read can reuse them whole.
+        queries = {lv: np.empty((len(labels), *rec[lv.value].shape), np.float32)
+                   for lv in FEATURE_LEVELS}
+        stacks = {lv: np.empty((len(labels), *rec["shots"][lv.value].shape), np.float32)
+                  for lv in FEATURE_LEVELS}
         episodes: dict[str, Episode] = {}
         for i, (query_id, present, gt_boxes) in enumerate(labels):
             if f.readinto(words) != words.nbytes:
@@ -243,11 +252,12 @@ def read_pack(path) -> list[Episode]:
                 raise ValueError(f"{path}: tensor at byte {start + 4 * int(index[i, 0])} "
                                  f"has rank/dims {found[i].tolist()}, "
                                  f"expected {expected[i].tolist()}")
+            for lv in FEATURE_LEVELS:
+                np.copyto(queries[lv][i], rec[lv.value])
+                np.copyto(stacks[lv][i], rec["shots"][lv.value])
             try:
-                levels = {lv: FeatureMap(np.array(rec[lv.value], np.float32))
-                          for lv in FEATURE_LEVELS}
-                shots = {lv: np.array(rec["shots"][lv.value], np.float32, order="C")
-                         for lv in FEATURE_LEVELS}
+                levels = {lv: FeatureMap(queries[lv][i]) for lv in FEATURE_LEVELS}
+                shots = {lv: stacks[lv][i] for lv in FEATURE_LEVELS}
                 ep = Episode(query_id=query_id, levels=levels, shots=shots,
                              gt_boxes=gt_boxes)
                 if present != ep.present_classes:

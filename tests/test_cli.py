@@ -699,6 +699,25 @@ class TestConfigFile:
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["ap_minor"] == record["ap_full"]
 
+    @pytest.mark.parametrize("where", [["--config", "{cfg}"], ["--config={cfg}"]],
+                             ids=["separate", "joined"])
+    @pytest.mark.parametrize("flags", [[], ["--checkpoint", "{ckpt}", "--pack", "{pack}"]],
+                             ids=["from-file", "with-flags"])
+    def test_config_after_command_says_where_it_goes(self, tmp_path, pack, ckpt, capsys,
+                                                     where, flags):
+        """--config after the command exits 1 with one line that says it
+        must come before the command, whether or not the file's options are
+        also given as flags, and prints nothing."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"pack": str(pack), "checkpoint": str(ckpt)}))
+        argv = [a.format(cfg=cfg, ckpt=ckpt, pack=pack) for a in ["eval", *flags, *where]]
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: preselect: --config must come before the command, "
+                       "as in: preselect --config FILE eval ...\n")
+
     def test_config_hash_ignores_paths(self, tmp_path, capsys):
         """gen's config hash depends on its option values only: not on -o,
         nor on whether the values came from --config."""

@@ -2,9 +2,11 @@
 checkpoints."""
 
 import hashlib
+import itertools
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,18 +200,81 @@ class TestEpisodePack:
 
     def test_support_maps_share_one_array_per_level(self, tmp_path):
         """Each level's shots come back as one C-contiguous float32
-        (N, k, C, h, w) array that owns its data: no view of the reader's
-        record buffer, which the next episode overwrites."""
-        cfg, eps = episodes_fixture(n=2)
+        (N, k, C, h, w) array, and each query map as one (C, H, W) array.
+        No two of them, across episodes and levels, share memory, nor does
+        any share memory with a second read of the pack: no view of the
+        reader's record buffer, which the next episode overwrites. Once the
+        whole pack is read, every map still holds what was written."""
+        cfg, eps = episodes_fixture(n=3)
         path = tmp_path / "pack.epk"
         write_pack(path, eps, cfg)
-        loaded = read_pack(path)
+        loaded, again = read_pack(path), read_pack(path)
+
+        def arrays(episodes):
+            return [a for ep in episodes
+                    for a in (*(m.data for m in ep.levels.values()), *ep.shots.values())]
+
         for lv in (Level.L2, Level.L3, Level.L4):
-            stacks = [ep.shots[lv] for ep in loaded]
-            for a in stacks:
-                assert a.shape == eps[0].shots[lv].shape and a.shape[:2] == (5, 2)
-                assert a.dtype == np.float32 and a.flags.c_contiguous and a.flags.owndata
-            assert not np.shares_memory(*stacks)
+            for ep in loaded:
+                assert ep.shots[lv].shape == eps[0].shots[lv].shape
+                assert ep.shots[lv].shape[:2] == (5, 2)
+        ours, theirs = arrays(loaded), arrays(again)
+        assert len(ours) == 3 * 6
+        for a in ours:
+            assert a.dtype == np.float32 and a.flags.c_contiguous
+        for a, b in itertools.combinations(ours, 2):
+            assert not np.shares_memory(a, b)
+        for a, b in itertools.product(ours, theirs):
+            assert not np.shares_memory(a, b)
+        assert_same_episodes(loaded, eps)
+        assert_same_episodes(again, eps)
+
+    def test_one_allocation_per_level_not_per_episode(self, tmp_path):
+        """read_pack allocates each level's maps once for the whole pack:
+        the blocks it leaves allocated that are larger than one episode's
+        L4 shot stack are as many for 12 episodes as for 4."""
+        cfg = SynthConfig(num_classes=5, present_count=2, k=2)
+        counts = []
+        for n in (4, 12):
+            path = tmp_path / f"pack{n}.epk"
+            write_pack(path, synth_episodes(cfg, 0, n), cfg)
+            tracemalloc.start()
+            try:
+                loaded = read_pack(path)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            one_stack = loaded[0].shots[Level.L4].nbytes
+            traces = snapshot.filter_traces([tracemalloc.Filter(True, "*pack_io.py")]).traces
+            counts.append(sum(t.size > one_stack for t in traces))
+        assert counts[0] == counts[1] > 0
+
+    def test_huge_manifest_rejected_before_any_buffer(self, tmp_path):
+        """A short file whose manifest claims 64 records of nearly 1 GiB
+        fails as truncated before the reader asks for memory: its peak
+        traced allocation stays under 4 MB."""
+        cfg, eps = episodes_fixture(n=1)
+        path = tmp_path / "pack.epk"
+        write_pack(path, eps, cfg)
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[4:8])
+        man = json.loads(raw[8 : 8 + mlen])
+        levels = [man["levels"][lv] for lv in ("L2", "L3", "L4")]
+        query = sum(16 + 4 * meta["channels"] * math.prod(meta["query_grid"]) for meta in levels)
+        shot = sum(16 + 4 * meta["channels"] * math.prod(meta["support_grid"]) for meta in levels)
+        man["num_classes"] = (2**30 - query) // (man["k"] * shot)
+        man["episodes"] = [dict(man["episodes"][0], query_id=f"q{i}") for i in range(64)]
+        manifest = json.dumps(man).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(manifest)) + manifest
+                         + raw[8 + mlen :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                read_pack(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_magic_bytes(self, tmp_path):
         _, eps = episodes_fixture(n=1)
