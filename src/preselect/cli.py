@@ -245,6 +245,18 @@ def _add_strategy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.5)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an int >= 0, as numpy's generators take, so that a
+    negative one is a usage error before any file is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError, so that main
     reports them as one error line with exit 1; subparsers share the class."""
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--shots", type=int, default=SynthConfig.k)
     g.add_argument("--amplitude", type=float, default=SynthConfig.blob_amplitude)
     g.add_argument("--sigma", type=float, default=SynthConfig.noise_sigma)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("-o", "--output", type=Path, required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -283,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=0.5)
     t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     t.add_argument("--hidden", type=int, default=HIDDEN_DIM)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("-o", "--output", type=Path, required=True)
     t.set_defaults(func=cmd_train)
 
@@ -344,7 +356,7 @@ def _apply_config_file(parser, argv):
                 parsed = (action.type or str)(str(value))
                 if action.choices is not None and parsed not in action.choices:
                     raise ValueError(f"not one of {action.choices}")
-            except ValueError as e:
+            except (ValueError, argparse.ArgumentTypeError) as e:
                 raise ValueError(f"{ns.config}: invalid value {value!r} for "
                                  f"{action.option_strings[-1]}: {e}") from None
             sub.set_defaults(**{key: parsed})

@@ -9,9 +9,10 @@ a reloaded model scores as it did. One closed form, _l4_vectors, gives
 the float32 vector of every prototype x query map from the query's
 per-channel statistics and the prototype, without forming the map:
 query_scores runs the MLP on those vectors in float32, the TPF phase in
-float64. Only JOINT forms maps, the fused ones, and scores a batch of
-them in one call (_map_loss: the confidence vectors, then _mlp in
-float64), which loss_and_grads shares. Backprop is written by hand:
+float64, on one table of every (episode, class) pair's vector that a
+train call builds before its first epoch. Only JOINT forms maps, the
+fused ones, and scores a batch of them in one call (_map_loss: the
+confidence vectors, then _mlp in float64), which loss_and_grads shares. Backprop is written by hand:
 through the MLP, whose gradient is a ScoreModel of the same four layers,
 and through both pooling branches down to the input maps so the fusion
 projections can be trained jointly. Each step writes its arrays into a
@@ -423,6 +424,20 @@ def _sample_pairs(episodes: list[Episode],
     return pairs
 
 
+def _tpf_table(episodes: list[Episode]) -> tuple[np.ndarray, list[int]]:
+    """The TPF rows of every (episode, class) pair as one float64 table,
+    episode after episode, and each episode's first row: pair (ei, cid) is
+    row offsets[ei] + cid. An episode's rows are the _l4_vectors of its L4
+    prototypes, one call each, as query_scores builds them."""
+    table = np.concatenate([_l4_vectors(ep.levels[Level.L4].data,
+                                        prototype_matrices({Level.L4: ep.shots[Level.L4]}))
+                            for ep in episodes], dtype=np.float64)
+    offsets = [0]
+    for ep in episodes[:-1]:
+        offsets.append(offsets[-1] + len(ep.shots[Level.L4]))
+    return table, offsets
+
+
 def train(
     model: ScoreModel,
     proj: FusionProjector,
@@ -432,13 +447,15 @@ def train(
     """Plain SGD over sampled (map, label) pairs; each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP.
 
-    A pair's row, its class's prototype row in JOINT and the _l4_vectors
-    vector of its L4 prototype (query_scores') in TPF_ONLY, is built once,
-    in the first epoch that samples it, one call per episode. JOINT fuses
-    each batch in one contraction, fuse_batch's, on queries aligned once,
-    and trains the scorer and the fusion projections through _map_loss, as
-    loss_and_grads does, all in work arrays allocated once per call;
-    TPF_ONLY trains the scorer alone on the rows. Returns (model,
+    TPF_ONLY builds one float64 table before its first epoch (_tpf_table):
+    the _l4_vectors vector of every (episode, class) pair, query_scores'
+    vector, E * N * 2C floats. Each batch takes its rows from it with one
+    index and trains the scorer alone on them. JOINT builds a pair's
+    prototype row lazily, in the first epoch that samples it, one
+    prototype_matrices call per episode; it fuses each batch in one
+    contraction, fuse_batch's, on queries aligned once, and trains the
+    scorer and the fusion projections through _map_loss, as loss_and_grads
+    does, all in work arrays allocated once per call. Returns (model,
     projections, per-epoch mean losses); inputs are not mutated.
     DivergenceError if a batch's loss, or a parameter after a step, is not
     finite.
@@ -450,8 +467,9 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.phase is Phase.JOINT
     aligned = [align_query(ep.levels) for ep in episodes] if joint and cfg.epochs else []
+    table, offsets = _tpf_table(episodes) if cfg.epochs and not joint else (None, [])
     work: _Work = {}
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    rows: dict[tuple[int, int], np.ndarray] = {}  # JOINT's prototype rows
     losses: list[float] = []
 
     for _ in range(cfg.epochs):
@@ -459,14 +477,10 @@ def train(
         rng.shuffle(pairs)
         missing: dict[int, list[int]] = {}
         for ei, cid, _ in pairs:
-            if (ei, cid) not in rows:
+            if joint and (ei, cid) not in rows:
                 missing.setdefault(ei, []).append(cid)
         for ei, cids in missing.items():
-            ep = episodes[ei]
-            levels = ep.shots if joint else {Level.L4: ep.shots[Level.L4]}
-            new = prototype_matrices({lv: a[cids] for lv, a in levels.items()})
-            if not joint:
-                new = _l4_vectors(ep.levels[Level.L4].data, new).astype(np.float64)
+            new = prototype_matrices({lv: a[cids] for lv, a in episodes[ei].shots.items()})
             rows.update(((ei, cid), row) for cid, row in zip(cids, new))
         epoch_loss = 0.0
         starts = range(0, len(pairs), cfg.batch_size)
@@ -475,13 +489,14 @@ def train(
             # its pairs, and the trained bytes with it.
             chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
             labels = np.array([label for _, _, label in chunk])
-            batch_rows = np.stack([rows[ei, cid] for ei, cid, _ in chunk])
             if joint:
+                batch_rows = np.stack([rows[ei, cid] for ei, cid, _ in chunk])
                 maps, queries = _fuse_pairs(proj, [aligned[ei] for ei, _, _ in chunk],
                                             batch_rows, work)
                 loss, grads, input_grads = _map_loss(model, maps, labels, True, work)
             else:
-                loss, grads, _ = _vector_loss(model, batch_rows, labels)
+                loss, grads, _ = _vector_loss(
+                    model, table[[offsets[ei] + cid for ei, cid, _ in chunk]], labels)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
@@ -495,8 +510,11 @@ def train(
                     a -= step * g
                 if joint:
                     _apply_fusion_grads(proj, queries, batch_rows, input_grads, lr, work)
-            params = [*model.layers, *proj.weights.values(), *proj.biases.values()]
-            if not all(np.isfinite(a).all() for a in params):
+            # The check walks the arrays the step wrote; _apply_fusion_grads
+            # replaces the projections' arrays.
+            written = [*model.layers, *proj.weights.values(), *proj.biases.values()] \
+                if joint else model.layers
+            if not all(np.isfinite(a).all() for a in written):
                 raise DivergenceError("a step left a non-finite scorer or projection parameter")
         losses.append(epoch_loss / max(len(starts), 1))
     return model, proj, losses

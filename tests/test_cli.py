@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from preselect import checkpoint, pack_io
+from preselect import checkpoint, cli, pack_io
 from preselect.checkpoint import load_checkpoint, save_checkpoint
 from preselect.cli import (EXIT_CLOSED_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                            build_parser, main)
@@ -544,7 +544,10 @@ class TestUsageErrors:
         ["eval", "--checkpoint", "m.ckpt"],
         ["detect", "--pack", "p.epk"],
         ["gen", "--colors", "3", "-o", "p.epk"],
-    ], ids=["bad-int", "missing-required", "unknown-command", "unknown-flag"])
+        ["gen", "--seed", "-1", "-o", "p.epk"],
+        ["train", "--pack", "p.epk", "--seed", "-1", "-o", "m.ckpt"],
+    ], ids=["bad-int", "missing-required", "unknown-command", "unknown-flag",
+            "gen-seed-negative", "train-seed-negative"])
     def test_usage_error_is_validation_error(self, tmp_path, monkeypatch, capsys, args):
         """A command line argparse rejects exits 1 with one error line
         naming the command, no usage block, and nothing on stdout."""
@@ -556,6 +559,26 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: preselect"), err
         assert not any(tmp_path.iterdir())
 
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_rejected_while_parsing(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        """--seed -1, which numpy's generators reject, exits 1 with one line
+        naming --seed, before gen makes an episode or train reads its
+        pack, and writes nothing."""
+        def unreachable(*args):
+            raise AssertionError(f"ran {command} before checking --seed")
+
+        monkeypatch.setattr(pack_io, "read_pack", unreachable)
+        monkeypatch.setattr(cli, "synth_episodes", unreachable)
+        out = tmp_path / "out"
+        code = main([command, "--pack", "p.epk", "--seed", "-1", "-o", str(out)]
+                    if command == "train" else [command, "--seed", "-1", "-o", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert err == f"error: preselect {command}: argument --seed: must be >= 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,flag", [
         (["eval", "--iou", "0"], "--iou"),
@@ -647,10 +670,11 @@ class TestConfigFile:
         {"top_n": "abc"},   # nor is --top-n abc
         {"threshold": [1]},  # a list is no command-line value
         {"top_k": 3},       # no command has --top-k
+        {"seed": -1},       # --seed -1 is below 0
         b'{"top_n": 3,}',   # not JSON
         b"\xff",            # not UTF-8
     ], ids=["list", "string", "float-for-int", "text-for-int", "list-value", "unknown-key",
-            "not-json", "not-utf8"])
+            "negative-seed", "not-json", "not-utf8"])
     def test_malformed_config_rejected(self, tmp_path, pack, ckpt, capsys, config):
         """Each case exits 1 with one error line naming the file and prints
         nothing, before any command runs. Bytes are the file as written."""

@@ -567,29 +567,33 @@ class TestTrain:
                 with pytest.raises(DivergenceError):
                     train(model, proj, eps, TrainConfig(epochs=5, phase=phase, learning_rate=lr))
 
-    def test_tpf_builds_each_vector_once(self, monkeypatch):
-        """Over 3 TPF epochs, the closed form (_l4_vectors) builds one row
-        per distinct sampled (episode, class) pair."""
+    def test_tpf_builds_each_episode_once(self, monkeypatch):
+        """Over 1 and over 3 TPF epochs, train builds its rows once: one
+        prototype_matrices call per episode, on the whole L4 stack alone,
+        and one _l4_vectors call per episode, on its query and all its
+        classes."""
         eps = small_episodes()
         model, proj = fresh_state(eps)
-        sampled, built = [], []
+        build, l4_vectors = scorer.prototype_matrices, scorer._l4_vectors
+        for epochs in (1, 3):
+            stacks, queries = [], []
 
-        def sample(*args):
-            pairs = _sample_pairs(*args)
-            sampled.extend((ei, cid) for ei, cid, _ in pairs)
-            return pairs
+            def protos(shots):
+                stacks.append(shots)
+                return build(shots)
 
-        l4_vectors = scorer._l4_vectors
+            def vectors(q4, p):
+                queries.append((q4, len(p)))
+                return l4_vectors(q4, p)
 
-        def vectors(q4, protos):
-            built.append(len(protos))
-            return l4_vectors(q4, protos)
-
-        monkeypatch.setattr(scorer, "_sample_pairs", sample)
-        monkeypatch.setattr(scorer, "_l4_vectors", vectors)
-        train(model, proj, eps, TrainConfig(epochs=3, batch_size=5, phase=Phase.TPF_ONLY))
-        # Positives recur in every epoch, so a per-sample build counts more.
-        assert sum(built) == len(set(sampled)) < len(sampled)
+            monkeypatch.setattr(scorer, "prototype_matrices", protos)
+            monkeypatch.setattr(scorer, "_l4_vectors", vectors)
+            train(model, proj, eps,
+                  TrainConfig(epochs=epochs, batch_size=5, phase=Phase.TPF_ONLY))
+            assert len(stacks) == len(queries) == len(eps)
+            for ep, shots, (q4, n) in zip(eps, stacks, queries):
+                assert shots.keys() == {Level.L4} and shots[Level.L4] is ep.shots[Level.L4]
+                assert q4 is ep.levels[Level.L4].data and n == len(ep.class_ids)
 
     @pytest.mark.parametrize("phase,levels", [(Phase.TPF_ONLY, {Level.L4}),
                                               (Phase.JOINT, set(FEATURE_LEVELS))])
@@ -846,8 +850,8 @@ class TestTrainMatchesOracle:
     """
 
     @staticmethod
-    def _state():
-        eps = synth_episodes(SynthConfig(num_classes=6, present_count=2, k=2), 21, 8)
+    def _state(num_classes=6):
+        eps = synth_episodes(SynthConfig(num_classes=num_classes, present_count=2, k=2), 21, 8)
         model, proj = fresh_state(eps, seed=2)
         rng = np.random.default_rng(22)
         proj = random_projector({lv: eps[0].levels[lv].channels for lv in eps[0].levels},
@@ -855,14 +859,18 @@ class TestTrainMatchesOracle:
         return eps, model, proj
 
     def test_tpf_phase_bitwise(self):
-        eps, model, proj = self._state()
+        """Also at 24 classes, where 3 epochs sample at most 8 of an
+        episode's classes (its 2 present ones and 2 absent draws per
+        epoch), so that most rows of train's table are never read."""
         cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=5, phase=Phase.TPF_ONLY,
                           seed=4)
-        got_model, got_proj, got_losses = train(model, proj, eps, cfg)
-        want_model, want_proj, want_losses = oracle_train(model, proj, eps, cfg)
-        assert got_losses == want_losses
-        for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
-            assert got.tobytes() == want.tobytes()
+        for num_classes in (6, 24):
+            eps, model, proj = self._state(num_classes)
+            got_model, got_proj, got_losses = train(model, proj, eps, cfg)
+            want_model, want_proj, want_losses = oracle_train(model, proj, eps, cfg)
+            assert got_losses == want_losses
+            for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
+                assert got.tobytes() == want.tobytes()
 
     def test_tpf_phase_within_tolerance_of_map_form(self):
         """The closed form against the float32 correlation maps and
