@@ -9,15 +9,17 @@ a reloaded model scores as it did. One closed form, _l4_vectors, gives
 the float32 vector of every prototype x query map from the query's
 per-channel statistics and the prototype, without forming the map:
 query_scores runs the MLP on those vectors in float32, the TPF phase in
-float64, on one table of every (episode, class) pair's vector that a
-train call builds before its first epoch. Only JOINT forms maps, the
+float64. A train call draws every epoch's (episode, class) pairs before
+the first epoch, then builds one table of rows for the pairs drawn: their
+vectors in TPF, their prototypes in JOINT. Only JOINT forms maps, the
 fused ones, and scores a batch of them in one call (_map_loss: the
-confidence vectors, then _mlp in float64), which loss_and_grads shares. Backprop is written by hand:
-through the MLP, whose gradient is a ScoreModel of the same four layers,
-and through both pooling branches down to the input maps so the fusion
-projections can be trained jointly. Each step writes its arrays into a
-work dict (_empty): loss_and_grads passes a new one per call, and a JOINT
-train call one for all its batches.
+confidence vectors, then _mlp in float64), which loss_and_grads shares.
+Backprop is written by hand: through the MLP, whose gradient is a
+ScoreModel of the same four layers, and through both pooling branches
+down to the input maps so the fusion projections can be trained
+jointly. Each step writes its arrays into a work dict (_empty):
+loss_and_grads passes a new one per call, and a JOINT train call one for
+all its batches.
 """
 
 from __future__ import annotations
@@ -357,7 +359,9 @@ def _vector_loss(model: ScoreModel, v: np.ndarray,
     gw2 = dlogits.T @ hid
     gb2 = dlogits.sum(axis=0)
     dhid = dlogits @ model.w2.astype(np.float64)
-    dpre = dhid * (hid > 0)
+    # The ReLU mask is taken in dhid's C order: a product of dhid and a mask
+    # in hid's transposed order costs about twice as much.
+    dpre = np.multiply(dhid, np.greater(hid, 0.0, out=np.empty(dhid.shape, bool)), out=dhid)
     gw1 = dpre.T @ v
     gb1 = dpre.sum(axis=0)
 
@@ -407,35 +411,37 @@ class DivergenceError(RuntimeError):
     non-finite."""
 
 
-def _sample_pairs(episodes: list[Episode],
-                  rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """(episode index, class id, label) pairs: every present class, and one
-    absent class drawn per present one (one when none is present)."""
-    pairs = []
+def _draw_epochs(episodes: list[Episode], epochs: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Every epoch's (episode index, class id, label) pairs, drawn before
+    the first epoch, as an (epochs, P, 3) array. An epoch holds, episode
+    after episode, every present class in sorted order, then one absent
+    class drawn per present one (one when none is present) with one
+    rng.choice on the episode's absent classes; one rng.shuffle then orders
+    the epoch's pairs. Each episode's positive pairs and absent classes are
+    listed once per call."""
+    pairs, draws = [], []  # one epoch's pairs with the absent draws unfilled
     for ei, ep in enumerate(episodes):
         present = sorted(ep.present_classes)
-        absent = [cid for cid in ep.class_ids if cid not in ep.present_classes]
-        for cid in present:
-            pairs.append((ei, cid, 1))
-        if absent:
-            n_neg = min(len(absent), max(len(present), 1))
-            for cid in rng.choice(absent, size=n_neg, replace=False):
-                pairs.append((ei, int(cid), 0))
-    return pairs
-
-
-def _tpf_table(episodes: list[Episode]) -> tuple[np.ndarray, list[int]]:
-    """The TPF rows of every (episode, class) pair as one float64 table,
-    episode after episode, and each episode's first row: pair (ei, cid) is
-    row offsets[ei] + cid. An episode's rows are the _l4_vectors of its L4
-    prototypes, one call each, as query_scores builds them."""
-    table = np.concatenate([_l4_vectors(ep.levels[Level.L4].data,
-                                        prototype_matrices({Level.L4: ep.shots[Level.L4]}))
-                            for ep in episodes], dtype=np.float64)
-    offsets = [0]
-    for ep in episodes[:-1]:
-        offsets.append(offsets[-1] + len(ep.shots[Level.L4]))
-    return table, offsets
+        absent = np.array([cid for cid in ep.class_ids if cid not in ep.present_classes])
+        n_neg = min(len(absent), max(len(present), 1))
+        pairs += [(ei, cid, 1) for cid in present] + [(ei, -1, 0)] * n_neg
+        if n_neg:
+            draws.append((absent, n_neg))
+    template = np.array(pairs, np.intp)
+    negative = template[:, 2] == 0
+    out = np.empty((epochs, *template.shape), np.intp)
+    for epoch in out:
+        np.copyto(epoch, template)
+        chosen = [rng.choice(absent, size=n, replace=False) for absent, n in draws]
+        if chosen:
+            epoch[negative, 1] = np.concatenate(chosen)
+        # Shuffling row numbers draws what shuffling the rows would, at a
+        # fraction of the cost of numpy's row-by-row swaps of a 2-D array.
+        order = np.arange(len(epoch))
+        rng.shuffle(order)
+        epoch[:] = epoch[order]
+    return out
 
 
 def train(
@@ -447,56 +453,67 @@ def train(
     """Plain SGD over sampled (map, label) pairs; each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP.
 
-    TPF_ONLY builds one float64 table before its first epoch (_tpf_table):
-    the _l4_vectors vector of every (episode, class) pair, query_scores'
-    vector, E * N * 2C floats. Each batch takes its rows from it with one
-    index and trains the scorer alone on them. JOINT builds a pair's
-    prototype row lazily, in the first epoch that samples it, one
-    prototype_matrices call per episode; it fuses each batch in one
-    contraction, fuse_batch's, on queries aligned once, and trains the
-    scorer and the fusion projections through _map_loss, as loss_and_grads
-    does, all in work arrays allocated once per call. Returns (model,
-    projections, per-epoch mean losses); inputs are not mutated.
+    Every epoch's pairs are drawn before the first (_draw_epochs), and each
+    phase then builds one table of rows, only for the classes those epochs
+    drew: per episode, one prototype_matrices call on its drawn classes,
+    sorted. TPF_ONLY builds the L4 level alone and takes one _l4_vectors
+    call per episode on those prototypes, query_scores' vectors cast to
+    float64, and trains the scorer alone on them. JOINT builds every level;
+    it fuses each batch in one contraction, fuse_batch's, on queries
+    aligned once, and trains the scorer and the fusion projections through
+    _map_loss, as loss_and_grads does, all in work arrays allocated once per
+    call. A batch takes its rows with one index into the table. Returns
+    (model, projections, per-epoch mean losses); inputs are not mutated.
     DivergenceError if a batch's loss, or a parameter after a step, is not
-    finite.
+    finite. ValueError if a drawn class's L4 vector overflows float32 in
+    TPF_ONLY; a class that no epoch draws is never built, so it raises only
+    where inference scores it.
     """
     if not episodes:
         raise ValueError("episodes must be nonempty")
     model = model.copy()  # each SGD step updates its arrays in place
     proj = proj.copy()
-    rng = np.random.default_rng(cfg.seed)
+    if not cfg.epochs:
+        return model, proj, []
     joint = cfg.phase is Phase.JOINT
-    aligned = [align_query(ep.levels) for ep in episodes] if joint and cfg.epochs else []
-    table, offsets = _tpf_table(episodes) if cfg.epochs and not joint else (None, [])
+    drawn = _draw_epochs(episodes, cfg.epochs, np.random.default_rng(cfg.seed))
+    # Each batch's pairs sorted by episode: that order fixes the order in
+    # which the batch's sums add up its pairs, and the trained bytes with it.
+    n_pairs = drawn.shape[1]
+    batch_of = np.broadcast_to(np.arange(n_pairs) // cfg.batch_size, drawn.shape[:2])
+    order = np.lexsort((drawn[..., 0], batch_of))
+    drawn = np.take_along_axis(drawn, order[..., None], axis=1)
+    # A table row per drawn (episode, class), episode after episode, each
+    # episode's classes sorted: the order of np.unique's keys.
+    first = np.cumsum([0] + [len(ep.shots[Level.L4]) for ep in episodes])
+    keys, rows = np.unique(first[drawn[..., 0]] + drawn[..., 1], return_inverse=True)
+    rows = rows.reshape(drawn.shape[:2])
+    bounds = np.searchsorted(keys, first)
+    classes = [keys[lo:hi] - start for start, lo, hi in zip(first, bounds, bounds[1:])]
+    if joint:
+        table = np.concatenate([prototype_matrices({lv: a[c] for lv, a in ep.shots.items()})
+                                for ep, c in zip(episodes, classes)])
+        aligned = [align_query(ep.levels) for ep in episodes]
+    else:
+        table = np.concatenate([_l4_vectors(ep.levels[Level.L4].data,
+                                            prototype_matrices({Level.L4: ep.shots[Level.L4][c]}))
+                                for ep, c in zip(episodes, classes)], dtype=np.float64)
     work: _Work = {}
-    rows: dict[tuple[int, int], np.ndarray] = {}  # JOINT's prototype rows
     losses: list[float] = []
 
-    for _ in range(cfg.epochs):
-        pairs = _sample_pairs(episodes, rng)
-        rng.shuffle(pairs)
-        missing: dict[int, list[int]] = {}
-        for ei, cid, _ in pairs:
-            if joint and (ei, cid) not in rows:
-                missing.setdefault(ei, []).append(cid)
-        for ei, cids in missing.items():
-            new = prototype_matrices({lv: a[cids] for lv, a in episodes[ei].shots.items()})
-            rows.update(((ei, cid), row) for cid, row in zip(cids, new))
+    for pairs, pair_rows in zip(drawn, rows):
         epoch_loss = 0.0
-        starts = range(0, len(pairs), cfg.batch_size)
+        starts = range(0, n_pairs, cfg.batch_size)
         for start in starts:
-            # Episode order fixes the order in which the batch's sums add up
-            # its pairs, and the trained bytes with it.
-            chunk = sorted(pairs[start : start + cfg.batch_size], key=lambda p: p[0])
-            labels = np.array([label for _, _, label in chunk])
+            stop = start + cfg.batch_size
+            labels = pairs[start:stop, 2]
+            batch_rows = table[pair_rows[start:stop]]
             if joint:
-                batch_rows = np.stack([rows[ei, cid] for ei, cid, _ in chunk])
-                maps, queries = _fuse_pairs(proj, [aligned[ei] for ei, _, _ in chunk],
+                maps, queries = _fuse_pairs(proj, [aligned[ei] for ei in pairs[start:stop, 0]],
                                             batch_rows, work)
                 loss, grads, input_grads = _map_loss(model, maps, labels, True, work)
             else:
-                loss, grads, _ = _vector_loss(
-                    model, table[[offsets[ei] + cid for ei, cid, _ in chunk]], labels)
+                loss, grads, _ = _vector_loss(model, batch_rows, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged: {loss}")
             epoch_loss += loss
@@ -516,7 +533,7 @@ def train(
                 if joint else model.layers
             if not all(np.isfinite(a).all() for a in written):
                 raise DivergenceError("a step left a non-finite scorer or projection parameter")
-        losses.append(epoch_loss / max(len(starts), 1))
+        losses.append(epoch_loss / len(starts))
     return model, proj, losses
 
 

@@ -76,7 +76,7 @@ def detect_batch(fused: np.ndarray) -> list[list[Detection]]:
     becomes a box with confidence = component peak. An all-nonpositive heat
     map yields no detections.
     """
-    heat = fused.astype(np.float64).mean(axis=1)
+    heat = fused.mean(axis=1, dtype=np.float64)
     n, h, w = heat.shape
     peak = heat.max(axis=(1, 2))
     mask = (heat >= (BOX_LEVEL * peak)[:, None, None]) & (peak > 0)[:, None, None]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from preselect.episodes import FEATURE_LEVELS, Episode, FusionProjector
-from preselect.scorer import POSITIVE, ScoreModel, _confidence_vectors, _mlp
+from preselect.scorer import POSITIVE, ScoreModel, _confidence_vectors, _mlp, _softmax
 from preselect.tensor_ops import FeatureMap, Level
 
 
@@ -35,6 +35,68 @@ def scores_batch(model: ScoreModel, maps: np.ndarray) -> np.ndarray:
     logits = _mlp(model, map_vectors(maps).astype(np.float32))[1]
     z = logits[:, 1 - POSITIVE].astype(np.float64) - logits[:, POSITIVE]
     return np.exp(-np.logaddexp(0.0, z))
+
+
+def sample_pairs_oracle(episodes: list[Episode],
+                        rng: np.random.Generator) -> list[tuple[int, int, int]]:
+    """One epoch's (episode index, class id, label) pairs, unshuffled:
+    every present class, and one absent class drawn per present one (one
+    when none is present) by rng.choice on a list, the lists built anew
+    each epoch. The reference for train's up-front draws."""
+    pairs = []
+    for ei, ep in enumerate(episodes):
+        present = sorted(ep.present_classes)
+        absent = [cid for cid in ep.class_ids if cid not in ep.present_classes]
+        for cid in present:
+            pairs.append((ei, cid, 1))
+        if absent:
+            n_neg = min(len(absent), max(len(present), 1))
+            for cid in rng.choice(absent, size=n_neg, replace=False):
+                pairs.append((ei, int(cid), 0))
+    return pairs
+
+
+def epochs_oracle(episodes: list[Episode], epochs: int,
+                  seed: int) -> list[list[tuple[int, int, int]]]:
+    """Every epoch's pairs in the trainer's draw order: each epoch sampled
+    by sample_pairs_oracle, then shuffled, on one generator of the seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(epochs):
+        pairs = sample_pairs_oracle(episodes, rng)
+        rng.shuffle(pairs)
+        out.append(pairs)
+    return out
+
+
+def vector_loss_oracle(model: ScoreModel, v: np.ndarray, labels: np.ndarray
+                       ) -> tuple[float, ScoreModel, np.ndarray]:
+    """The trainer's vector loss with its ReLU mask as the out-of-place
+    dhid * (hid > 0), in hid's transposed order: (loss, scorer gradient,
+    dLoss/d(w1 v + b1))."""
+    n = len(v)
+    hid, logits = _mlp(model, v)
+    p = _softmax(logits)
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(p[np.arange(n), labels]).mean())
+    dlogits = p.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    gw2 = dlogits.T @ hid
+    gb2 = dlogits.sum(axis=0)
+    dhid = dlogits @ model.w2.astype(np.float64)
+    dpre = dhid * (hid > 0)
+    gw1 = dpre.T @ v
+    gb1 = dpre.sum(axis=0)
+    with np.errstate(over="ignore"):
+        grads = ScoreModel(*(g.astype(np.float32) for g in (gw1, gb1, gw2, gb2)))
+    return loss, grads, dpre
+
+
+def heat_oracle(fused: np.ndarray) -> np.ndarray:
+    """detect_batch's channel-mean heat maps through a float64 copy of the
+    (N, C, H, W) stack: the reference for its in-place float64 mean."""
+    return fused.astype(np.float64).mean(axis=1)
 
 
 def confidence_vectors_oracle(maps: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 hand-written backward pass against finite differences, and the
 two-phase trainer's observable behaviors."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from preselect import scorer
+from preselect.cli import _train_accuracy
 from preselect.episodes import (
     FEATURE_LEVELS,
     FusionProjector,
@@ -27,17 +29,20 @@ from preselect.scorer import (
     Phase,
     ScoreModel,
     TrainConfig,
+    _draw_epochs,
     _l4_vectors,
     _mlp,
-    _sample_pairs,
     _softmax,
+    _vector_loss,
     loss_and_grads,
     query_scores,
     train,
 )
+from preselect.selector import All, run_inference
 from preselect.tensor_ops import FeatureMap, Level, block_mean
 
-from helpers import confidence_vectors_oracle, map_vectors, random_projector, scores_batch
+from helpers import (confidence_vectors_oracle, epochs_oracle, map_vectors, random_projector,
+                     sample_pairs_oracle, scores_batch, vector_loss_oracle)
 
 
 def fmap(arr):
@@ -478,9 +483,18 @@ def mask_form_backward(maps, grad_v):
     return grad_x
 
 
-def small_episodes(n=6, seed=0, sigma=0.1):
-    cfg = SynthConfig(num_classes=6, present_count=2, k=2, noise_sigma=sigma)
+def small_episodes(n=6, seed=0, sigma=0.1, num_classes=6):
+    cfg = SynthConfig(num_classes=num_classes, present_count=2, k=2, noise_sigma=sigma)
     return synth_episodes(cfg, seed, n)
+
+
+def drawn_classes(episodes, epochs, seed):
+    """Each episode's classes that the oracle's epochs draw, sorted."""
+    drawn = [set() for _ in episodes]
+    for pairs in epochs_oracle(episodes, epochs, seed):
+        for ei, cid, _ in pairs:
+            drawn[ei].add(cid)
+    return [sorted(d) for d in drawn]
 
 
 def fresh_state(episodes, seed=0):
@@ -567,33 +581,125 @@ class TestTrain:
                 with pytest.raises(DivergenceError):
                     train(model, proj, eps, TrainConfig(epochs=5, phase=phase, learning_rate=lr))
 
-    def test_tpf_builds_each_episode_once(self, monkeypatch):
-        """Over 1 and over 3 TPF epochs, train builds its rows once: one
-        prototype_matrices call per episode, on the whole L4 stack alone,
-        and one _l4_vectors call per episode, on its query and all its
-        classes."""
-        eps = small_episodes()
-        model, proj = fresh_state(eps)
+    @staticmethod
+    def _record_builds(monkeypatch):
+        """Wrap prototype_matrices and _l4_vectors in train's module; returns
+        the lists of their (shots, result) and (q4, protos) arguments."""
         build, l4_vectors = scorer.prototype_matrices, scorer._l4_vectors
+        stacks, queries = [], []
+
+        def protos(shots):
+            stacks.append((shots, build(shots)))
+            return stacks[-1][1]
+
+        def vectors(q4, p):
+            queries.append((q4, p))
+            return l4_vectors(q4, p)
+
+        monkeypatch.setattr(scorer, "prototype_matrices", protos)
+        monkeypatch.setattr(scorer, "_l4_vectors", vectors)
+        return stacks, queries
+
+    def test_tpf_builds_each_episode_once(self, monkeypatch):
+        """Over 1 and over 3 TPF epochs, train builds its rows once, for the
+        classes its epochs drew: one prototype_matrices call per episode, on
+        the L4 stack alone of the episode's drawn classes, sorted, and one
+        _l4_vectors call per episode, on its query and those prototypes. At
+        12 classes some episodes leave classes undrawn."""
+        eps = small_episodes(num_classes=12)
+        model, proj = fresh_state(eps)
         for epochs in (1, 3):
-            stacks, queries = [], []
-
-            def protos(shots):
-                stacks.append(shots)
-                return build(shots)
-
-            def vectors(q4, p):
-                queries.append((q4, len(p)))
-                return l4_vectors(q4, p)
-
-            monkeypatch.setattr(scorer, "prototype_matrices", protos)
-            monkeypatch.setattr(scorer, "_l4_vectors", vectors)
-            train(model, proj, eps,
-                  TrainConfig(epochs=epochs, batch_size=5, phase=Phase.TPF_ONLY))
+            stacks, queries = self._record_builds(monkeypatch)
+            cfg = TrainConfig(epochs=epochs, batch_size=5, phase=Phase.TPF_ONLY)
+            train(model, proj, eps, cfg)
+            drawn = drawn_classes(eps, epochs, cfg.seed)
+            assert any(len(d) < len(ep.class_ids) for ep, d in zip(eps, drawn))
             assert len(stacks) == len(queries) == len(eps)
-            for ep, shots, (q4, n) in zip(eps, stacks, queries):
-                assert shots.keys() == {Level.L4} and shots[Level.L4] is ep.shots[Level.L4]
-                assert q4 is ep.levels[Level.L4].data and n == len(ep.class_ids)
+            for ep, cids, (shots, built), (q4, p) in zip(eps, drawn, stacks, queries):
+                assert shots.keys() == {Level.L4}
+                assert shots[Level.L4].tobytes() == ep.shots[Level.L4][cids].tobytes()
+                assert q4 is ep.levels[Level.L4].data and p is built
+
+    def test_joint_builds_each_episode_once(self, monkeypatch):
+        """Over 1 and over 2 JOINT epochs, train builds its prototype rows
+        once, for the classes its epochs drew: one prototype_matrices call
+        per episode, on every level's stack of the episode's drawn classes,
+        sorted, and no _l4_vectors call."""
+        eps = small_episodes(num_classes=12)
+        model, proj = fresh_state(eps)
+        for epochs in (1, 2):
+            stacks, queries = self._record_builds(monkeypatch)
+            cfg = TrainConfig(epochs=epochs, batch_size=5, phase=Phase.JOINT)
+            train(model, proj, eps, cfg)
+            drawn = drawn_classes(eps, epochs, cfg.seed)
+            assert any(len(d) < len(ep.class_ids) for ep, d in zip(eps, drawn))
+            assert len(stacks) == len(eps) and queries == []
+            for ep, cids, (shots, _) in zip(eps, drawn, stacks):
+                assert shots.keys() == set(FEATURE_LEVELS)
+                for lv in FEATURE_LEVELS:
+                    assert shots[lv].tobytes() == ep.shots[lv][cids].tobytes()
+
+    def test_undrawn_overflowing_class_is_not_built(self):
+        """A class whose L4 vector overflows float32 but that no epoch draws
+        does not make train raise, as train never builds it; inference and
+        the CLI's train accuracy, which score every class, still raise."""
+        eps = small_episodes(num_classes=12)
+        model, proj = fresh_state(eps)
+        cfg = TrainConfig(epochs=2, batch_size=5, phase=Phase.TPF_ONLY)
+        cid = next(c for c in eps[0].class_ids if c not in drawn_classes(eps, 2, cfg.seed)[0])
+        shots = {lv: a.copy() for lv, a in eps[0].shots.items()}
+        shots[Level.L4][cid] = np.float32(3e38)
+        eps[0] = dataclasses.replace(eps[0], shots=shots)
+        trained, proj, _ = train(model, proj, eps, cfg)
+        with pytest.raises(ValueError, match="overflows float32"):
+            run_inference(trained, proj, eps[0], All())
+        with pytest.raises(ValueError, match="overflows float32"):
+            _train_accuracy(trained, eps)
+
+    def test_draws_match_per_epoch_oracle(self):
+        """_draw_epochs gives, over 3 epochs, the pairs of sampling each
+        epoch then shuffling it, and leaves the generator where that leaves
+        it: on episodes of 6 and of 9 classes, with every class present,
+        none, or 2. A TPF train call on them has the bytes of oracle_train,
+        which draws through the per-epoch form."""
+        eps = (synth_episodes(SynthConfig(num_classes=6, present_count=6, k=2), 1, 2)
+               + synth_episodes(SynthConfig(num_classes=9, present_count=0, k=2), 2, 2)
+               + synth_episodes(SynthConfig(num_classes=9, present_count=2, k=2), 3, 3))
+        for seed in (0, 5):
+            rng = np.random.default_rng(seed)
+            got = _draw_epochs(eps, 3, rng)
+            want = epochs_oracle(eps, 3, seed)
+            assert got.tolist() == [[list(p) for p in pairs] for pairs in want]
+            want_rng = np.random.default_rng(seed)
+            for _ in range(3):
+                want_rng.shuffle(sample_pairs_oracle(eps, want_rng))
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+        model, proj = fresh_state(eps)
+        cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=5, phase=Phase.TPF_ONLY,
+                          seed=4)
+        got_model, got_proj, got_losses = train(model, proj, eps, cfg)
+        want_model, want_proj, want_losses = oracle_train(model, proj, eps, cfg)
+        assert got_losses == want_losses
+        for got, want in zip(_params(got_model, got_proj), _params(want_model, want_proj)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_vector_loss_bitwise_equal_to_mask_form(self, n):
+        """_vector_loss's loss, its four gradients and dLoss/d(w1 v + b1)
+        have the bytes of the out-of-place dhid * (hid > 0) form, with a
+        zero vector among the rows: at init's zero b1 its hidden units are
+        all 0.0, so its mask is all False."""
+        rng = np.random.default_rng(n)
+        model = ScoreModel.init(24, hidden=64, seed=n)
+        v = rng.standard_normal((n, 48))
+        v[0] = 0.0
+        labels = rng.integers(0, 2, n)
+        loss, grads, dpre = _vector_loss(model, v, labels)
+        want_loss, want_grads, want_dpre = vector_loss_oracle(model, v, labels)
+        assert loss == want_loss
+        assert dpre.tobytes() == want_dpre.tobytes()
+        for got, want in zip(grads.layers, want_grads.layers):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("phase,levels", [(Phase.TPF_ONLY, {Level.L4}),
                                               (Phase.JOINT, set(FEATURE_LEVELS))])
@@ -618,7 +724,7 @@ class TestTrain:
         class) pair."""
         eps = small_episodes()
         model, proj = fresh_state(eps)
-        fed, orders, rows = [], [], []
+        fed, rows = [], []
         l4_vectors, vector_loss = scorer._l4_vectors, scorer._vector_loss
 
         def feed(q4, protos):
@@ -630,17 +736,14 @@ class TestTrain:
             query_scores(model, ep.levels[Level.L4].data, prototype_matrices(ep.shots))
         monkeypatch.setattr(scorer, "_l4_vectors", l4_vectors)
 
-        def sample(*args):
-            orders.append(_sample_pairs(*args))  # train shuffles it in place
-            return orders[-1]
-
         def loss(m, v, labels):
             rows.append(v.copy())
             return vector_loss(m, v, labels)
 
-        monkeypatch.setattr(scorer, "_sample_pairs", sample)
         monkeypatch.setattr(scorer, "_vector_loss", loss)
-        train(model, proj, eps, TrainConfig(epochs=2, batch_size=5, phase=Phase.TPF_ONLY))
+        cfg = TrainConfig(epochs=2, batch_size=5, phase=Phase.TPF_ONLY)
+        train(model, proj, eps, cfg)
+        orders = epochs_oracle(eps, cfg.epochs, cfg.seed)
         want = [np.stack([fed[ei][cid] for ei, cid, _ in
                           sorted(pairs[start : start + 5], key=lambda p: p[0])])
                 for pairs in orders for start in range(0, len(pairs), 5)]
@@ -676,7 +779,7 @@ class TestTrain:
                                 len(proj.biases[Level.L4]), np.random.default_rng(6))
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=5, phase=Phase.JOINT,
                           seed=7)
-        assert len(_sample_pairs(eps, np.random.default_rng(0))) % cfg.batch_size == 2
+        assert len(sample_pairs_oracle(eps, np.random.default_rng(0))) % cfg.batch_size == 2
         want_model, want_proj, want_losses = fresh_joint(model, proj, eps, cfg)
         for _ in range(2):
             got_model, got_proj, got_losses = train(model, proj, eps, cfg)
@@ -723,13 +826,13 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
     """The per-class trainer that train replaced, kept as its reference:
     per-class correlate, each level block-averaged to the L4 grid and
     rounded to float32, a per-level projection loop, and a per-pair loop
-    for the projection gradients. Pairs are sampled as train samples them
-    and ordered by episode, as train batches them. Each scorer step is
+    for the projection gradients. Pairs are sampled epoch by epoch
+    (sample_pairs_oracle) and ordered by episode, as train batches them. Each scorer step is
     clipped to a gradient of global L2 norm GRAD_CLIP, its squared norm
     summed over the four arrays in float64.
 
     TPF scores each pair alone through _l4_vectors, as
-    inference does, and runs the float64 MLP loss on the vectors. With
+    inference does, and runs vector_loss_oracle on the vectors. With
     tpf_maps set, it forms the pair's L4 correlation map instead and
     scores it through loss_and_grads: the map form TPF used to train on.
 
@@ -741,7 +844,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
     joint = cfg.phase is Phase.JOINT
     losses = []
     for _ in range(cfg.epochs):
-        pairs = _sample_pairs(episodes, rng)
+        pairs = sample_pairs_oracle(episodes, rng)
         rng.shuffle(pairs)
         total, count = 0.0, 0
         for start in range(0, len(pairs), cfg.batch_size):
@@ -773,7 +876,7 @@ def oracle_train(model, proj, episodes, cfg, round_levels=True, tpf_maps=False):
                 inputs.append(x)
             if vectors:
                 labels = np.array([label for _, _, label in chunk])
-                loss, grads, _ = scorer._vector_loss(model, np.array(vectors, np.float64), labels)
+                loss, grads, _ = vector_loss_oracle(model, np.array(vectors, np.float64), labels)
             else:
                 loss, grads, input_grads = loss_and_grads(model, batch, joint)
             total += loss
@@ -809,7 +912,7 @@ def fresh_joint(model, proj, episodes, cfg):
     rng = np.random.default_rng(cfg.seed)
     losses = []
     for _ in range(cfg.epochs):
-        pairs = _sample_pairs(episodes, rng)
+        pairs = sample_pairs_oracle(episodes, rng)
         rng.shuffle(pairs)
         total = []
         for start in range(0, len(pairs), cfg.batch_size):
