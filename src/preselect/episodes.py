@@ -11,7 +11,8 @@ everything to the coarsest grid, projects each level to a common channel
 count, and averages. Inference builds every class's L4 prototypes in
 setup and the selected classes' L2/L3 ones in fusion, training the levels
 its phase reads, each for a set of classes at once; fusion is one
-contraction (prototype_matrices, align_query, fuse_batch). Both averages
+contraction (prototype_matrices, align_query, fuse_batch), run in blocks of
+classes when a batch's temporaries would not fit in a core's L2. Both averages
 that feed it, the shot means and the aligned query, are
 tensor_ops.block_mean, which alone reproduces numpy's summation order.
 synth_episode boxes each planted blob by the half-maximum rule (BOX_LEVEL)
@@ -158,6 +159,14 @@ class FusionProjector:
                     for lv, c_in in channels.items()},
                    {lv: np.zeros(out_channels, dtype=np.float32) for lv in channels})
 
+    def matrix(self) -> np.ndarray:
+        """The (out_channels, sum of C_l + 1) float64 weights that fusion
+        contracts: the levels' weights side by side in FEATURE_LEVELS order,
+        then the sum of their biases."""
+        bias = sum(self.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
+        return np.concatenate([self.weights[lv] for lv in FEATURE_LEVELS] + [bias[:, None]],
+                              axis=1)
+
     def copy(self) -> "FusionProjector":
         return FusionProjector(
             {lv: w.copy() for lv, w in self.weights.items()},
@@ -183,6 +192,13 @@ def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
     return np.concatenate([block_mean(levels[lv].data, h, w) for lv in FEATURE_LEVELS])
 
 
+# Bytes of float64 temporaries that fuse_batch keeps in one core's L2 (2 MiB
+# on the 2-vCPU Xeon it was tuned on). A batch whose scaled weights and product fit
+# is one contraction; a larger one runs in blocks of half the classes that
+# fit, so that each class's gemm reads and writes cache, not L3.
+_FUSE_CACHE_BYTES = 2 << 20
+
+
 def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
                proj: FusionProjector) -> np.ndarray:
     """fuse_levels of the correlated levels of N classes at once.
@@ -193,32 +209,50 @@ def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
     fused_n = mean_l W_l diag(p_nl) X_l + b_l: one float64 contraction over
     all levels' channels, with the biases as one more channel whose input
     is 1. Returns (N, out_channels, H, W) float32, and ValueError if an
-    entry overflows it. np.matmul runs one fixed-shape gemm per class: a
-    class's map does not depend on the batch.
+    entry overflows it. A batch whose float64 temporaries pass
+    _FUSE_CACHE_BYTES is contracted in blocks of classes, all written into
+    one allocation whose last part is the maps. np.matmul runs one
+    fixed-shape gemm per class in a block as in a whole batch: a class's
+    map depends neither on the batch nor on the block.
     """
     c, h, w = aligned.shape
     x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
-    fused = _fuse(x, protos, proj)
-    return fused.reshape(*fused.shape[:2], h, w)
+    weights = proj.matrix()
+    n, out = len(protos), len(weights)
+    per_class = 8 * out * (c + 1 + h * w)
+    if n * per_class <= _FUSE_CACHE_BYTES:
+        fused = _fuse(x, protos, weights)
+    else:
+        block = max(1, (_FUSE_CACHE_BYTES // per_class + 1) // 2)
+        # One buffer, [scaled | product | maps]: new arrays per block faulted
+        # ~700 pages per 100-class query in some heap states.
+        buf = np.empty(block * per_class + 4 * n * out * h * w, np.uint8)
+        wide = 8 * block * out * (c + 1)
+        scaled = buf[:wide].view(np.float64).reshape(block, out, c + 1)
+        product = buf[wide:block * per_class].view(np.float64).reshape(block, out, h * w)
+        fused = buf[block * per_class:].view(np.float32).reshape(n, out, h * w)
+        for start in range(0, n, block):
+            rows = protos[start:start + block]
+            m = len(rows)
+            _fuse(x, rows, weights, scaled[:m], product[:m], fused[start:start + m])
+    return fused.reshape(n, out, h, w)
 
 
-def _fuse(x: np.ndarray, protos: np.ndarray, proj: FusionProjector,
+def _fuse(x: np.ndarray, protos: np.ndarray, weights: np.ndarray,
           scaled: np.ndarray | None = None, product: np.ndarray | None = None,
           fused: np.ndarray | None = None) -> np.ndarray:
-    """fuse_batch on its float64 operand x: the aligned queries with a last
+    """fuse_batch on its float64 operand x, the aligned queries with a last
     channel of ones, (N, sum of C_l + 1, H*W) or one (sum of C_l + 1, H*W)
-    for all N. Returns the (N, out_channels, H*W) float32 maps. The scaled
-    weights (N, out, sum of C_l + 1), their float64 product with x and the
-    maps (both (N, out, H*W)) are written into the given arrays, or into
-    new ones where none is given."""
-    n = len(protos)
-    bias = sum(proj.biases[lv].astype(np.float64) for lv in FEATURE_LEVELS)
-    weights = np.concatenate([proj.weights[lv] for lv in FEATURE_LEVELS]
-                             + [bias[:, None]], axis=1)
-    scales = np.concatenate([protos, np.ones((n, 1), np.float32)], axis=1)
+    for all N, and on FusionProjector.matrix's weights. Returns the
+    (N, out_channels, H*W) float32 maps. The scaled weights
+    (N, out, sum of C_l + 1), their float64 product with x and the maps
+    (both (N, out, H*W)) are written into the given arrays, or into new ones
+    where none is given. np.matmul runs one gemm per class."""
+    scales = np.concatenate([protos, np.ones((len(protos), 1), np.float32)], axis=1)
     scales = scales / np.float64(len(FEATURE_LEVELS))
-    # A new scaled-weights array is freed before the maps are allocated:
-    # held longer, it made glibc map and unmap ~500 pages per inference call.
+    # On fuse_batch's one-contraction path, where all three arrays are new,
+    # the scaled weights are freed before the maps are allocated: held
+    # longer, they made glibc map and unmap ~500 pages per inference call.
     with np.errstate(over="ignore"):
         product = np.matmul(np.multiply(weights, scales[:, None, :], out=scaled), x, out=product)
         if fused is None:

@@ -551,7 +551,7 @@ def _fuse_pairs(proj: FusionProjector, queries: list[np.ndarray], rows: np.ndarr
     out = len(proj.biases[Level.L4])
     # The product is spent once cast to the maps, before the forward
     # takes "d".
-    maps = _fuse(x, rows, proj, _empty(work, "wide", (n, out, c + 1)),
+    maps = _fuse(x, rows, proj.matrix(), _empty(work, "wide", (n, out, c + 1)),
                  _empty(work, "d", (n, out, hw)), _empty(work, "maps", (n, out, hw), np.float32))
     return maps.reshape(n, out, *grid), x[:, :c]
 

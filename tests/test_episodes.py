@@ -3,6 +3,7 @@ episode generator."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from preselect.episodes import (
     Episode,
     FusionProjector,
     SynthConfig,
+    _FUSE_CACHE_BYTES,
     align_query,
     build_prototype,
     correlate,
@@ -403,6 +405,60 @@ class TestFuseLevels:
             want = fuse_batch(align_query(eps[ei].levels), protos[ei][[cid]], proj)[0]
             assert fused.tobytes() == want.tobytes()
         assert stacked.tobytes() == np.stack(queries).tobytes()
+
+    @staticmethod
+    def _wide_batch(n):
+        """The aligned query and first n prototype rows of a 100-class
+        episode, and a random 64-wide projector with nonzero biases: 23
+        classes' float64 temporaries fit _FUSE_CACHE_BYTES, 24 do not."""
+        rng = np.random.default_rng(18)
+        proj = random_projector(CHANNELS, 64, rng)
+        proj.biases = {lv: rng.standard_normal(64).astype(np.float32) for lv in proj.biases}
+        ep = synth_episode(SynthConfig(num_classes=100, k=5), 19)
+        aligned = align_query(ep.levels)
+        per_class = 8 * 64 * (len(aligned) + 1 + 8 * 8)
+        assert _FUSE_CACHE_BYTES // per_class == 23
+        return aligned, prototype_matrices(ep.shots)[:n], proj
+
+    @pytest.mark.parametrize("n", [1, 12, 23, 24, 25, 100])
+    def test_blocks_keep_each_class_bytes(self, n):
+        """A batch fused in blocks of 12 classes, one block or several with
+        a partial last one, equals each class fused alone byte for byte."""
+        aligned, protos, proj = self._wide_batch(n)
+        got = fuse_batch(aligned, protos, proj)
+        assert got.shape == (n, 64, 8, 8) and got.dtype == np.float32
+        for i in range(n):
+            assert got[i].tobytes() == fuse_batch(aligned, protos[[i]], proj)[0].tobytes()
+
+    def test_blocked_peak_memory(self):
+        """A 100-class fuse_batch peaks under its maps plus one 12-class
+        block's float64 temporaries, plus 10%, not under the whole batch's
+        temporaries."""
+        aligned, protos, proj = self._wide_batch(100)
+        c1 = len(aligned) + 1
+        bound = 1.1 * (100 * 64 * 64 * 4 + 12 * 8 * 64 * (c1 + 64))
+        tracemalloc.start()
+        try:
+            fuse_batch(aligned, protos, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_overflow_in_last_block_rejected(self):
+        """An entry that overflows float32 in the last, one-class block of
+        a 25-class batch raises ValueError."""
+        aligned, protos, proj = self._wide_batch(25)
+        protos = protos.copy()
+        protos[-1] = 3e38
+        with pytest.raises(ValueError, match="non-finite"):
+            fuse_batch(aligned, protos, proj)
+        fuse_batch(aligned, protos[:-1], proj)
+
+    def test_empty_batch(self):
+        aligned, protos, proj = self._wide_batch(0)
+        got = fuse_batch(aligned, protos, proj)
+        assert got.shape == (0, 64, 8, 8) and got.dtype == np.float32
 
     def test_align_query_is_block_mean(self):
         rng = np.random.default_rng(15)

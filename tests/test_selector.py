@@ -383,17 +383,21 @@ class TestRunInference:
         """On selected classes, minor-loop output equals the full loop,
         bit for bit, for every TopN(n) on several episodes: a class's
         score, fused map and detections do not depend on which classes
-        share its batch."""
-        for seed in (3, 5, 8):
-            model, proj, ep = self._setup(seed=seed)
+        share its batch. On 40 classes fused to 64 channels, the full
+        batch and TopN(24) and up run in 12-class blocks."""
+        cases = [(seed, *self._setup(seed=seed)[::2], 24, range(1, 9)) for seed in (3, 5, 8)]
+        cases.append((13, ScoreModel.init(64, hidden=16, seed=13),
+                      synth_episode(SynthConfig(num_classes=40, present_count=3, k=2), 13),
+                      64, (1, 12, 13, 23, 24, 25, 40)))
+        for seed, model, ep, out, sizes in cases:
             proj = random_projector(
-                {lv: ep.levels[lv].channels for lv in ep.levels}, 24,
+                {lv: ep.levels[lv].channels for lv in ep.levels}, out,
                 np.random.default_rng(seed))
             full = run_inference(model, proj, ep, All())
             protos = prototype_matrices(ep.shots)
             aligned = align_query(ep.levels)
             full_fused = fuse_batch(aligned, protos, proj)
-            for n in range(1, len(ep.class_ids) + 1):
+            for n in sizes:
                 minor = run_inference(model, proj, ep, TopN(n))
                 assert minor.scores == full.scores
                 assert minor.selected == full.selected[:n]
