@@ -193,8 +193,8 @@ def align_query(levels: dict[Level, FeatureMap]) -> np.ndarray:
 
 
 # Bytes of float64 temporaries that fuse_batch keeps in one core's L2 (2 MiB
-# on the 2-vCPU Xeon it was tuned on). A batch whose scaled weights and product fit
-# is one contraction; a larger one runs in blocks of half the classes that
+# on the 2-vCPU Xeon it was tuned on). A batch whose scaled weights and product
+# fit is one contraction; a larger one runs in blocks of half the classes that
 # fit, so that each class's gemm reads and writes cache, not L3.
 _FUSE_CACHE_BYTES = 2 << 20
 
@@ -210,31 +210,29 @@ def fuse_batch(aligned: np.ndarray, protos: np.ndarray,
     all levels' channels, with the biases as one more channel whose input
     is 1. Returns (N, out_channels, H, W) float32, and ValueError if an
     entry overflows it. A batch whose float64 temporaries pass
-    _FUSE_CACHE_BYTES is contracted in blocks of classes, all written into
-    one allocation whose last part is the maps. np.matmul runs one
-    fixed-shape gemm per class in a block as in a whole batch: a class's
-    map depends neither on the batch nor on the block.
+    _FUSE_CACHE_BYTES is contracted in blocks of classes, each block reusing
+    one scaled-weights and one product array allocated per call. np.matmul
+    runs one fixed-shape gemm per class in a block as in a whole batch: a
+    class's map depends neither on the batch nor on the block.
     """
     c, h, w = aligned.shape
     x = np.concatenate([aligned.reshape(c, h * w), np.ones((1, h * w))])
     weights = proj.matrix()
     n, out = len(protos), len(weights)
     per_class = 8 * out * (c + 1 + h * w)
+    # A batch that fits stays one contraction: run in blocks, 20-way and
+    # minor queries were ~4% slower, and its three arrays page-faulted ~380
+    # times a query in a 20-class loop.
     if n * per_class <= _FUSE_CACHE_BYTES:
-        fused = _fuse(x, protos, weights)
-    else:
-        block = max(1, (_FUSE_CACHE_BYTES // per_class + 1) // 2)
-        # One buffer, [scaled | product | maps]: new arrays per block faulted
-        # ~700 pages per 100-class query in some heap states.
-        buf = np.empty(block * per_class + 4 * n * out * h * w, np.uint8)
-        wide = 8 * block * out * (c + 1)
-        scaled = buf[:wide].view(np.float64).reshape(block, out, c + 1)
-        product = buf[wide:block * per_class].view(np.float64).reshape(block, out, h * w)
-        fused = buf[block * per_class:].view(np.float32).reshape(n, out, h * w)
-        for start in range(0, n, block):
-            rows = protos[start:start + block]
-            m = len(rows)
-            _fuse(x, rows, weights, scaled[:m], product[:m], fused[start:start + m])
+        return _fuse(x, protos, weights).reshape(n, out, h, w)
+    block = max(1, (_FUSE_CACHE_BYTES // per_class + 1) // 2)
+    scaled = np.empty((block, out, c + 1))
+    product = np.empty((block, out, h * w))
+    fused = np.empty((n, out, h * w), np.float32)
+    for start in range(0, n, block):
+        rows = protos[start:start + block]
+        m = len(rows)
+        _fuse(x, rows, weights, scaled[:m], product[:m], fused[start:start + m])
     return fused.reshape(n, out, h, w)
 
 
